@@ -17,6 +17,16 @@
  * Frontiers are returned sorted by ascending candidate id (a canonical
  * config fingerprint), so the result is stable under any permutation of
  * the input — the property the 1-vs-N-thread byte-identity gate rests on.
+ *
+ * pareto_frontier, dominance_summary and non_dominated_sort share one
+ * kernel: the eligible objective vectors go once into a flat matrix with
+ * every sense flipped to "maximize", sorted in descending lexicographic
+ * order. A dominator always sorts before what it dominates, so a sweep
+ * that tests each row only against the frontier found so far yields the
+ * frontier in O(E log E + E*F) for E candidates and a frontier of F.
+ * Each eligible candidate's vector size is checked once against the
+ * senses; a mismatch throws std::invalid_argument. dominates() and
+ * dominated_count() stay the brute-force reference.
  */
 #ifndef LOGNIC_DSE_PARETO_HPP_
 #define LOGNIC_DSE_PARETO_HPP_
@@ -84,17 +94,19 @@ std::uint64_t dominated_count(const ScoredConfig& who,
                               const std::vector<Sense>& senses);
 
 /**
- * Frontier membership and per-candidate dominated counts from ONE
- * O(N^2) pass over unordered candidate pairs (dominance is asymmetric,
- * so each pair needs at most two vector comparisons). Equivalent to
- * pareto_frontier() plus dominated_count() per member — which the
- * explorer used to recompute per frontier entry, at O(N) a call — and
- * pinned equal to that brute force by a regression test.
+ * Frontier membership plus, for frontier members only, how many eligible
+ * candidates each dominates: the sort-and-sweep frontier, then F x E
+ * vector comparisons on the flat matrix, where the explorer's report
+ * needs no count for anyone off the frontier. Pinned equal to
+ * pareto_frontier() plus dominated_count() per frontier member by a
+ * regression test.
  */
 struct DominanceSummary {
     /// == pareto_frontier(all, senses).
     std::vector<std::size_t> frontier;
-    /// dominated[i] == dominated_count(all[i], all, senses).
+    /// Indexed by candidate, size all.size(). For a frontier member i,
+    /// dominated[i] == dominated_count(all[i], all, senses); every other
+    /// entry is 0, dominated or not.
     std::vector<std::uint64_t> dominated;
 };
 
@@ -106,7 +118,9 @@ DominanceSummary dominance_summary(const std::vector<ScoredConfig>& all,
  * fronts[0] is the frontier, fronts[1] the frontier once fronts[0] is
  * removed, and so on. Quarantined/infeasible candidates appear in no
  * front (strategies rank them behind every front). Front-internal order
- * is ascending index — deterministic.
+ * is ascending index — deterministic. The domination lists are built
+ * from the shared kernel's sorted matrix, one test per unordered pair:
+ * O(M^2) for M eligible members.
  */
 std::vector<std::vector<std::size_t>>
 non_dominated_sort(const std::vector<ScoredConfig>& all,

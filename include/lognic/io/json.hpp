@@ -10,6 +10,7 @@
 #ifndef LOGNIC_IO_JSON_HPP_
 #define LOGNIC_IO_JSON_HPP_
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +31,13 @@ using JsonObject = std::map<std::string, Json>;
  * or "-inf" for use in human-readable strings.
  */
 std::string format_double(double value);
+
+/**
+ * Deepest array/object nesting Json::parse accepts. The parser recurses
+ * once per level, so the bound keeps hostile input from overflowing the
+ * stack; every document the tool reads or writes nests a few levels.
+ */
+inline constexpr std::size_t kJsonMaxDepth = 256;
 
 class Json {
   public:
@@ -64,6 +72,18 @@ class Json {
     {
     }
 
+    Json(const Json&) = default;
+    Json(Json&&) noexcept = default;
+    /// Copies before assigning: walking down a document in place
+    /// (`v = v.as_array()[0]`) releases the array that holds the source.
+    Json& operator=(const Json& other)
+    {
+        Json copy(other);
+        return *this = std::move(copy);
+    }
+    Json& operator=(Json&&) noexcept = default;
+    ~Json() = default;
+
     Type type() const { return type_; }
     bool is_null() const { return type_ == Type::kNull; }
     bool is_bool() const { return type_ == Type::kBool; }
@@ -94,7 +114,8 @@ class Json {
     std::string dump(int indent = 2) const;
 
     /// Parse a JSON document. @throws std::runtime_error with position
-    /// info on malformed input.
+    /// info on malformed input, including arrays/objects nested deeper
+    /// than kJsonMaxDepth.
     static Json parse(const std::string& text);
 
   private:

@@ -200,16 +200,6 @@ run_exhaustive(const DesignSpace& space, const ExploreOptions& opts,
     ev.run_batch(batch);
 }
 
-std::vector<std::uint64_t>
-frontier_ids(const std::vector<ScoredConfig>& archive,
-             const std::vector<Sense>& senses)
-{
-    std::vector<std::uint64_t> ids;
-    for (std::size_t idx : pareto_frontier(archive, senses))
-        ids.push_back(archive[idx].id);
-    return ids;
-}
-
 void
 run_mutation(const DesignSpace& space, const ExploreOptions& opts,
              const std::vector<Sense>& senses, BatchEvaluator& ev)
@@ -647,8 +637,9 @@ explore(const DesignSpace& space,
     }
 
     const std::vector<ScoredConfig> archive = ev.archive_vector();
-    // One O(N^2) dominance pass yields both the frontier and every
-    // member's dominated count (previously recomputed at O(N) per entry).
+    // One sort-and-sweep pass yields the frontier and the dominated count
+    // of each frontier member: O(E log E + E*F) for an archive of E and a
+    // frontier of F. Only frontier members' counts are reported.
     const DominanceSummary dom = dominance_summary(archive, senses);
     const std::vector<std::size_t>& frontier = dom.frontier;
 

@@ -57,30 +57,131 @@ canonical_less(const ScoredConfig& a, const ScoredConfig& b)
     return a.key < b.key;
 }
 
+/**
+ * The one dominance kernel behind pareto_frontier, dominance_summary and
+ * non_dominated_sort. The eligible members' objectives are copied once
+ * into a flat row-major matrix with every sense flipped to "maximize",
+ * then the rows are put in descending lexicographic order, ties by
+ * candidate index. A dominator is lexicographically strictly greater
+ * than every row it dominates, so it always sorts before them: a row can
+ * only be dominated by a row above it.
+ */
+class DominanceMatrix {
+  public:
+    DominanceMatrix(const std::vector<ScoredConfig>& all,
+                    const std::vector<Sense>& senses)
+        : width_(senses.size())
+    {
+        std::vector<std::size_t> members;
+        std::vector<double> flat;
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            if (!eligible(all[i]))
+                continue;
+            const std::vector<double>& v = all[i].objectives;
+            if (v.size() != width_)
+                throw std::invalid_argument(
+                    "dominance: objective vector size mismatch");
+            // The quarantine rule applies to the values, not only the
+            // flag: a NaN would also break the sort's strict weak order.
+            if (!all_finite(v))
+                continue;
+            members.push_back(i);
+            for (std::size_t k = 0; k < width_; ++k)
+                flat.push_back(senses[k] == Sense::kMaximize ? v[k] : -v[k]);
+        }
+        // Sort row positions into `flat`; ties keep input (index) order.
+        std::vector<std::size_t> order(members.size());
+        for (std::size_t r = 0; r < order.size(); ++r)
+            order[r] = r;
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      const double* x = flat.data() + a * width_;
+                      const double* y = flat.data() + b * width_;
+                      for (std::size_t k = 0; k < width_; ++k)
+                          if (x[k] != y[k])
+                              return x[k] > y[k];
+                      return a < b;
+                  });
+        index_.reserve(order.size());
+        values_.reserve(flat.size());
+        for (std::size_t r : order) {
+            index_.push_back(members[r]);
+            values_.insert(values_.end(), flat.begin() + r * width_,
+                           flat.begin() + (r + 1) * width_);
+        }
+    }
+
+    std::size_t rows() const { return index_.size(); }
+
+    /// Candidate index of row @p r.
+    std::size_t index(std::size_t r) const { return index_[r]; }
+
+    /// Row @p a dominates row @p b (which implies a < b).
+    bool dominates(std::size_t a, std::size_t b) const
+    {
+        const double* x = values_.data() + a * width_;
+        const double* y = values_.data() + b * width_;
+        bool strictly_better = false;
+        for (std::size_t k = 0; k < width_; ++k) {
+            if (x[k] < y[k])
+                return false;
+            if (x[k] > y[k])
+                strictly_better = true;
+        }
+        return strictly_better;
+    }
+
+    /**
+     * Rows of the nondominated set, ascending. Sort and sweep: by
+     * transitivity, a row dominated by anyone above it is dominated by a
+     * frontier row above it, so each row is tested only against the
+     * frontier found so far — O(E*F) comparisons.
+     */
+    std::vector<std::size_t> frontier_rows() const
+    {
+        std::vector<std::size_t> front;
+        for (std::size_t r = 0; r < rows(); ++r) {
+            bool dominated = false;
+            for (std::size_t f : front)
+                if (dominates(f, r)) {
+                    dominated = true;
+                    break;
+                }
+            if (!dominated)
+                front.push_back(r);
+        }
+        return front;
+    }
+
+    /// Candidate indices of @p rows in canonical (id, key) order.
+    std::vector<std::size_t>
+    canonical(const std::vector<std::size_t>& rows,
+              const std::vector<ScoredConfig>& all) const
+    {
+        std::vector<std::size_t> out;
+        out.reserve(rows.size());
+        for (std::size_t r : rows)
+            out.push_back(index_[r]);
+        std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+            return canonical_less(all[a], all[b]);
+        });
+        return out;
+    }
+
+  private:
+    std::size_t width_;
+    std::vector<std::size_t> index_;  ///< row -> candidate index
+    std::vector<double> values_;      ///< rows() x width_, maximize-all
+};
+
 } // namespace
 
 std::vector<std::size_t>
 pareto_frontier(const std::vector<ScoredConfig>& all,
                 const std::vector<Sense>& senses)
 {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (!eligible(all[i]))
-            continue;
-        bool dominated = false;
-        for (std::size_t j = 0; j < all.size() && !dominated; ++j) {
-            if (j == i || !eligible(all[j]))
-                continue;
-            dominated =
-                dominates(all[j].objectives, all[i].objectives, senses);
-        }
-        if (!dominated)
-            out.push_back(i);
-    }
-    std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
-        return canonical_less(all[a], all[b]);
-    });
-    return out;
+    const DominanceMatrix dm(all, senses);
+    return dm.canonical(dm.frontier_rows(), all);
 }
 
 std::uint64_t
@@ -103,32 +204,19 @@ DominanceSummary
 dominance_summary(const std::vector<ScoredConfig>& all,
                   const std::vector<Sense>& senses)
 {
+    const DominanceMatrix dm(all, senses);
+    const std::vector<std::size_t> front = dm.frontier_rows();
     DominanceSummary out;
     out.dominated.assign(all.size(), 0);
-    std::vector<char> is_dominated(all.size(), 0);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (!eligible(all[i]))
-            continue;
-        for (std::size_t j = i + 1; j < all.size(); ++j) {
-            if (!eligible(all[j]))
-                continue;
-            // Strict dominance holds in at most one direction per pair.
-            if (dominates(all[i].objectives, all[j].objectives, senses)) {
-                ++out.dominated[i];
-                is_dominated[j] = 1;
-            } else if (dominates(all[j].objectives, all[i].objectives,
-                                 senses)) {
-                ++out.dominated[j];
-                is_dominated[i] = 1;
-            }
-        }
-        if (!is_dominated[i])
-            out.frontier.push_back(i);
+    // Only rows below a frontier row can be dominated by it.
+    for (std::size_t f : front) {
+        std::uint64_t n = 0;
+        for (std::size_t r = f + 1; r < dm.rows(); ++r)
+            if (dm.dominates(f, r))
+                ++n;
+        out.dominated[dm.index(f)] = n;
     }
-    std::sort(out.frontier.begin(), out.frontier.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return canonical_less(all[a], all[b]);
-              });
+    out.frontier = dm.canonical(front, all);
     return out;
 }
 
@@ -136,38 +224,36 @@ std::vector<std::vector<std::size_t>>
 non_dominated_sort(const std::vector<ScoredConfig>& all,
                    const std::vector<Sense>& senses)
 {
-    std::vector<std::size_t> members;
-    for (std::size_t i = 0; i < all.size(); ++i)
-        if (eligible(all[i]))
-            members.push_back(i);
-
-    // dominated_by[i]: how many members dominate i; domins[i]: who i
-    // dominates.
-    std::vector<std::size_t> dominated_by(all.size(), 0);
-    std::vector<std::vector<std::size_t>> domins(all.size());
-    for (std::size_t a : members)
-        for (std::size_t b : members) {
-            if (a == b)
-                continue;
-            if (dominates(all[a].objectives, all[b].objectives, senses)) {
+    const DominanceMatrix dm(all, senses);
+    const std::size_t n = dm.rows();
+    // dominated_by[r]: how many rows dominate r; domins[r]: the rows r
+    // dominates — all of them below r, so each pair is tested once.
+    std::vector<std::size_t> dominated_by(n, 0);
+    std::vector<std::vector<std::size_t>> domins(n);
+    for (std::size_t a = 0; a < n; ++a)
+        for (std::size_t b = a + 1; b < n; ++b)
+            if (dm.dominates(a, b)) {
                 domins[a].push_back(b);
                 ++dominated_by[b];
             }
-        }
 
     std::vector<std::vector<std::size_t>> fronts;
     std::vector<std::size_t> current;
-    for (std::size_t i : members)
-        if (dominated_by[i] == 0)
-            current.push_back(i);
+    for (std::size_t r = 0; r < n; ++r)
+        if (dominated_by[r] == 0)
+            current.push_back(r);
     while (!current.empty()) {
-        fronts.push_back(current);
         std::vector<std::size_t> next;
-        for (std::size_t i : current)
-            for (std::size_t j : domins[i])
-                if (--dominated_by[j] == 0)
-                    next.push_back(j);
-        std::sort(next.begin(), next.end());
+        for (std::size_t r : current)
+            for (std::size_t d : domins[r])
+                if (--dominated_by[d] == 0)
+                    next.push_back(d);
+        std::vector<std::size_t> front;
+        front.reserve(current.size());
+        for (std::size_t r : current)
+            front.push_back(dm.index(r));
+        std::sort(front.begin(), front.end());
+        fronts.push_back(std::move(front));
         current = std::move(next);
     }
     return fronts;

@@ -42,7 +42,7 @@ class Parser {
 
     Json parse_document()
     {
-        const Json v = parse_value();
+        const Json v = parse_value(0);
         skip_ws();
         if (pos_ != text_.size())
             fail("trailing characters after document");
@@ -102,9 +102,15 @@ class Parser {
         }
     }
 
-    Json parse_value()
+    /// @p depth: arrays/objects already open around this value. They
+    /// recurse, so the bound keeps hostile input from overflowing the
+    /// stack.
+    Json parse_value(std::size_t depth)
     {
         skip_ws();
+        if ((peek() == '[' || peek() == '{') && depth == kJsonMaxDepth)
+            fail("nesting deeper than " + std::to_string(kJsonMaxDepth)
+                 + " levels");
         switch (peek()) {
           case 'n':
             expect_keyword("null");
@@ -118,9 +124,9 @@ class Parser {
           case '"':
             return Json{parse_string()};
           case '[':
-            return parse_array();
+            return parse_array(depth + 1);
           case '{':
-            return parse_object();
+            return parse_object(depth + 1);
           default:
             return parse_number();
         }
@@ -223,14 +229,14 @@ class Parser {
         return Json{v};
     }
 
-    Json parse_array()
+    Json parse_array(std::size_t depth)
     {
         expect('[');
         JsonArray out;
         if (try_take(']'))
             return Json{std::move(out)};
         for (;;) {
-            out.push_back(parse_value());
+            out.push_back(parse_value(depth));
             skip_ws();
             if (try_take(']'))
                 return Json{std::move(out)};
@@ -238,7 +244,7 @@ class Parser {
         }
     }
 
-    Json parse_object()
+    Json parse_object(std::size_t depth)
     {
         expect('{');
         JsonObject out;
@@ -249,7 +255,7 @@ class Parser {
             std::string key = parse_string();
             skip_ws();
             expect(':');
-            out[std::move(key)] = parse_value();
+            out[std::move(key)] = parse_value(depth);
             skip_ws();
             if (try_take('}'))
                 return Json{std::move(out)};

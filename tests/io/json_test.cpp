@@ -1,6 +1,8 @@
 #include "lognic/io/json.hpp"
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +113,65 @@ TEST(Json, DeepNestingRoundTrip)
     for (int i = 0; i < 50; ++i)
         v = v.as_array()[0];
     EXPECT_DOUBLE_EQ(v.as_number(), 1.0);
+}
+
+std::string
+nested(const std::string& open, const std::string& close, std::size_t depth)
+{
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i)
+        text += open;
+    text += "1";
+    for (std::size_t i = 0; i < depth; ++i)
+        text += close;
+    return text;
+}
+
+std::string
+parse_error(const std::string& text)
+{
+    try {
+        static_cast<void>(Json::parse(text));
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+const std::string kTooDeep =
+    "nesting deeper than " + std::to_string(kJsonMaxDepth) + " levels";
+
+TEST(Json, HostileNestingThrowsNamedError)
+{
+    // Unterminated 100k-deep input used to overflow the stack.
+    for (const char* open : {"[", "{\"a\":"}) {
+        const std::string what = parse_error(nested(open, "", 100000));
+        EXPECT_NE(what.find(kTooDeep), std::string::npos) << what;
+    }
+}
+
+TEST(Json, NestingAtTheLimitParses)
+{
+    Json v = Json::parse(nested("[", "]", kJsonMaxDepth));
+    for (std::size_t i = 0; i < kJsonMaxDepth; ++i)
+        v = v.as_array()[0];
+    EXPECT_DOUBLE_EQ(v.as_number(), 1.0);
+    Json o = Json::parse(nested("{\"a\":", "}", kJsonMaxDepth));
+    for (std::size_t i = 0; i < kJsonMaxDepth; ++i)
+        o = o.at("a");
+    EXPECT_DOUBLE_EQ(o.as_number(), 1.0);
+
+    EXPECT_NE(parse_error(nested("[", "]", kJsonMaxDepth + 1)).find(kTooDeep),
+              std::string::npos);
+    EXPECT_NE(parse_error(nested("{\"a\":", "}", kJsonMaxDepth + 1))
+                  .find(kTooDeep),
+              std::string::npos);
+    // Depth is nesting, not count: long flat and sibling runs are fine.
+    std::string siblings = "[";
+    for (std::size_t i = 0; i < 4 * kJsonMaxDepth; ++i)
+        siblings += nested("[", "]", kJsonMaxDepth - 1) + ",";
+    siblings += "1]";
+    EXPECT_EQ(Json::parse(siblings).as_array().size(), 4 * kJsonMaxDepth + 1);
 }
 
 TEST(Json, PreservesNumberPrecision)
