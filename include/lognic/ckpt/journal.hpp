@@ -1,23 +1,34 @@
 /**
  * @file
  * Completed-work journals (lognic::ckpt): the payloads a checkpoint
- * generation carries for sweep/replication campaigns, `lognic check`
- * runs, and calibration fits.
+ * generation carries.
  *
- * A journal is a keyed map of finished units of work — task index →
- * runner::CompletedTask, "trial:<i>"/"corpus:<name>" → check::TrialOutcome,
- * start index → calib::StartRecord — that round-trips through JSON
- * *bit-exactly*: every double travels as the hex of its IEEE-754 bit
- * pattern and every u64 as a hex string (see io/checkpoint.hpp for why the
- * plain JSON number path cannot carry them). That bit-exactness is what
- * lets a resumed run replay journaled outcomes verbatim and still produce
- * a report byte-identical to an uninterrupted run.
+ * A journal is a keyed map of finished units of work that round-trips
+ * through JSON *bit-exactly*: every double travels as the hex of its
+ * IEEE-754 bit pattern and every u64 as a hex string (see io/checkpoint.hpp
+ * for why the plain JSON number path cannot carry them). That
+ * bit-exactness is what lets a resumed run replay journaled outcomes
+ * verbatim and still produce a report byte-identical to an uninterrupted
+ * run.
+ *
+ * One class template, Journal<Codec>, serves every workload. Its codec
+ * names the document section, the key type and the key's JSON field, and
+ * the record type with its JSON round-trip:
+ *
+ *     journal        section   key field   key
+ *     TaskJournal    tasks     task        task index (hex u64)
+ *     CheckJournal   units     key         "trial:<i>" / "corpus:<name>"
+ *     FitJournal     starts    start       start index (hex u64)
+ *     dse::ExploreJournal  evals + des, key = canonical config string
+ *
+ * A document is {"<section>": [{"<key field>": <key>, ...record...}]};
+ * documents with a repeated key are refused by name.
  *
  * Journals are internally locked: the lookup_fn()/record_fn() adapters
- * plug straight into the runner/check/calib hook seams, whose hooks fire
- * from worker threads. record_fn() takes an optional `after` callback
- * fired outside the journal lock (the supervisor hangs its periodic
- * checkpoint there; calling to_json() from inside the lock would
+ * plug straight into the runner/check/calib/dse hook seams, whose hooks
+ * fire from worker threads. record_fn() takes an optional `after`
+ * callback fired outside the journal lock (the supervisor hangs its
+ * periodic checkpoint there; calling to_json() from inside the lock would
  * deadlock).
  */
 #ifndef LOGNIC_CKPT_JOURNAL_HPP_
@@ -27,10 +38,12 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include "lognic/calib/calibrator.hpp"
 #include "lognic/check/harness.hpp"
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/io/json.hpp"
 #include "lognic/runner/replicator.hpp"
 #include "lognic/sim/nic_simulator.hpp"
@@ -61,89 +74,199 @@ calib::StartRecord start_record_from_json(const io::Json& j);
 
 // --- journals -----------------------------------------------------------------
 
-/**
- * Journal of completed sweep/replication tasks, keyed by task index
- * (point * replications + replication). Thread-safe.
- */
-class TaskJournal {
+/// A journal document as the supervisor sees it: what it resumes from and
+/// publishes. Journal<Codec> is one section; dse::ExploreJournal is two.
+class JournalDocument {
 public:
-    TaskJournal() = default;
-
-    /// {"tasks": [{"task": "<hex>", ...CompletedTask...}, ...]}
-    io::Json to_json() const;
+    virtual io::Json to_json() const = 0;
     /// Replace the contents from a journal document.
-    /// @throws std::runtime_error on malformed input.
-    void load_json(const io::Json& j);
+    /// @throws std::runtime_error on malformed input or a repeated key.
+    virtual void load_json(const io::Json& j) = 0;
+    virtual std::size_t size() const = 0;
 
-    std::size_t size() const;
-    /// Entries recorded as failures (ok == false).
-    std::size_t failed_count() const;
-    void record(std::size_t task, runner::CompletedTask done);
-    bool lookup(std::size_t task, runner::CompletedTask& out) const;
-    /// Drop failed entries so a retry round re-runs them; returns how many.
-    std::size_t erase_failed();
+protected:
+    ~JournalDocument() = default;
+};
 
-    /// Adapter for SweepOptions::resume_lookup / ReplicatorHooks::lookup.
-    /// The journal must outlive the returned function.
-    runner::TaskLookup lookup_fn() const;
+/// Key codec for units numbered by index: the key travels as hex u64.
+struct IndexKey {
+    using Key = std::size_t;
+    static io::Json key_to_json(Key k) { return io::u64_to_hex(k); }
+    static Key key_from_json(const io::Json& j, const std::string& field)
+    {
+        return static_cast<Key>(
+            io::parse_u64(j.as_string(), "journal field " + field));
+    }
+    static std::string describe(Key k) { return std::to_string(k); }
+};
+
+/// Key codec for units named by a stable string.
+struct NameKey {
+    using Key = std::string;
+    static io::Json key_to_json(const Key& k) { return k; }
+    static Key key_from_json(const io::Json& j, const std::string&)
+    {
+        return j.as_string();
+    }
+    static std::string describe(const Key& k) { return "'" + k + "'"; }
+};
+
+/**
+ * A thread-safe journal of completed units: one locked map from the
+ * codec's key to its record. @p Codec is an IndexKey/NameKey plus
+ * `Record`, `kName` (for errors), `kSection`, `kKeyField`, and
+ * `encode`/`decode` between Record and JSON.
+ */
+template <class Codec>
+class Journal final : public JournalDocument {
+public:
+    using Key = typename Codec::Key;
+    using Record = typename Codec::Record;
+
+    io::Json to_json() const override
+    {
+        io::Json j;
+        write_to(j);
+        return j;
+    }
+
+    /// Set this journal's section of @p doc (multi-section documents).
+    void write_to(io::Json& doc) const
+    {
+        io::Json entries(io::JsonArray{});
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            for (const auto& [key, done] : entries_) {
+                io::Json e = Codec::encode(done);
+                e.set(Codec::kKeyField, Codec::key_to_json(key));
+                entries.push_back(std::move(e));
+            }
+        }
+        doc.set(Codec::kSection, std::move(entries));
+    }
+
+    /// Replace the contents from @p j's section; other sections are
+    /// ignored.
+    void load_json(const io::Json& j) override
+    {
+        std::map<Key, Record> loaded;
+        for (const io::Json& e : j.at(Codec::kSection).as_array()) {
+            Key key = Codec::key_from_json(e.at(Codec::kKeyField),
+                                           Codec::kKeyField);
+            if (!loaded.try_emplace(key, Codec::decode(e)).second)
+                throw std::runtime_error(
+                    std::string(Codec::kName) + ": duplicate "
+                    + Codec::kKeyField + " " + Codec::describe(key));
+        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries_ = std::move(loaded);
+    }
+
+    std::size_t size() const override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return entries_.size();
+    }
+
+    void record(const Key& key, Record done)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries_.insert_or_assign(key, std::move(done));
+    }
+
+    bool lookup(const Key& key, Record& out) const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(key);
+        if (it == entries_.end())
+            return false;
+        out = it->second;
+        return true;
+    }
+
+    /// Records for which @p pred holds.
+    template <class Pred>
+    std::size_t count_if(Pred pred) const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::size_t n = 0;
+        for (const auto& [key, done] : entries_)
+            n += pred(done) ? 1 : 0;
+        return n;
+    }
+
+    /// Drop the records for which @p pred holds; returns how many.
+    template <class Pred>
+    std::size_t erase_if(Pred pred)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return std::erase_if(entries_,
+                             [&](const auto& entry) {
+                                 return pred(entry.second);
+                             });
+    }
+
+    /// Adapter for the workload's resume-lookup seam. The journal must
+    /// outlive the returned function.
+    auto lookup_fn() const
+    {
+        return [this](const Key& key, Record& out) {
+            return lookup(key, out);
+        };
+    }
+
     /// Adapter for the completion hook; @p after (may be empty) runs after
     /// each record, outside the journal lock.
-    runner::TaskHook record_fn(std::function<void()> after = {});
+    auto record_fn(std::function<void()> after = {})
+    {
+        return [this, after = std::move(after)](const Key& key,
+                                                const Record& done) {
+            record(key, done);
+            if (after)
+                after();
+        };
+    }
 
 private:
     mutable std::mutex mutex_;
-    std::map<std::size_t, runner::CompletedTask> tasks_;
+    std::map<Key, Record> entries_;
 };
 
-/**
- * Journal of completed `lognic check` units, keyed "trial:<index>" /
- * "corpus:<name>". Thread-safe (the harness is currently serial, but the
- * seam does not promise that).
- */
-class CheckJournal {
-public:
-    CheckJournal() = default;
-
-    /// {"units": [{"key": "...", ...TrialOutcome...}, ...]}
-    io::Json to_json() const;
-    void load_json(const io::Json& j);
-
-    std::size_t size() const;
-    void record(const std::string& key, check::TrialOutcome done);
-    bool lookup(const std::string& key, check::TrialOutcome& out) const;
-
-    check::TrialLookup lookup_fn() const;
-    check::TrialHook record_fn(std::function<void()> after = {});
-
-private:
-    mutable std::mutex mutex_;
-    std::map<std::string, check::TrialOutcome> units_;
+/// Sweep/replication tasks keyed by task index
+/// (point * replications + replication).
+struct TaskCodec : IndexKey {
+    using Record = runner::CompletedTask;
+    static constexpr const char* kName = "task journal";
+    static constexpr const char* kSection = "tasks";
+    static constexpr const char* kKeyField = "task";
+    static constexpr auto encode = completed_task_to_json;
+    static constexpr auto decode = completed_task_from_json;
 };
 
-/**
- * Journal of completed calibration starts, keyed by start index.
- * Thread-safe; plugs into FitOptions::resume_lookup / on_start_complete
- * (only top-level starts journal — fold fits run with cleared hooks).
- */
-class FitJournal {
-public:
-    FitJournal() = default;
-
-    /// {"starts": [{"start": "<hex>", ...StartRecord...}, ...]}
-    io::Json to_json() const;
-    void load_json(const io::Json& j);
-
-    std::size_t size() const;
-    void record(std::size_t start, calib::StartRecord done);
-    bool lookup(std::size_t start, calib::StartRecord& out) const;
-
-    calib::StartLookup lookup_fn() const;
-    calib::StartHook record_fn(std::function<void()> after = {});
-
-private:
-    mutable std::mutex mutex_;
-    std::map<std::size_t, calib::StartRecord> starts_;
+/// `lognic check` units keyed "trial:<index>" / "corpus:<name>".
+struct CheckCodec : NameKey {
+    using Record = check::TrialOutcome;
+    static constexpr const char* kName = "check journal";
+    static constexpr const char* kSection = "units";
+    static constexpr const char* kKeyField = "key";
+    static constexpr auto encode = trial_outcome_to_json;
+    static constexpr auto decode = trial_outcome_from_json;
 };
+
+/// Calibration starts keyed by start index (only top-level starts
+/// journal — fold fits run with cleared hooks).
+struct FitCodec : IndexKey {
+    using Record = calib::StartRecord;
+    static constexpr const char* kName = "fit journal";
+    static constexpr const char* kSection = "starts";
+    static constexpr const char* kKeyField = "start";
+    static constexpr auto encode = start_record_to_json;
+    static constexpr auto decode = start_record_from_json;
+};
+
+using TaskJournal = Journal<TaskCodec>;
+using CheckJournal = Journal<CheckCodec>;
+using FitJournal = Journal<FitCodec>;
 
 } // namespace lognic::ckpt
 

@@ -1,27 +1,32 @@
 /**
  * @file
  * Kill-tolerant run supervision (lognic::ckpt): wrap a sweep, a `lognic
- * check` run, a calibration, or a single long simulation in a
- * checkpoint/resume loop.
+ * check` run, a calibration, an exploration (dse/supervise.hpp), or a
+ * single long simulation in a checkpoint/resume loop.
  *
- * The supervisor owns a CheckpointStore (one generation directory, one
- * frame kind per workload), a completed-work journal, and the hook wiring
- * into the workload's resume seams. The loop is:
+ * Every journaled workload runs through one supervision core, supervise():
  *
- *  1. resume: load the newest *valid* generation (torn/corrupt/skewed
- *     files are recorded in ResumeInfo::rejected and skipped — never
- *     silently loaded), verify its config fingerprint against the live
- *     run, and preload the journal;
- *  2. run with journal hooks: completed units are recorded as they
- *     finish, and every `checkpoint_every` completions a new generation
- *     is published via the atomic-rename protocol;
- *  3. (sweeps) retry: failed points are erased from the journal and
- *     re-run, up to `retry_rounds` extra passes with exponential backoff
- *     between them — transient failures (wall-clock truncation on a loaded
- *     host, resource exhaustion) heal, deterministic ones fail identically
- *     and are reported as data;
+ *  1. validate the SupervisorOptions and open the workload's
+ *     CheckpointStore (one generation directory, one frame kind);
+ *  2. resume: load the newest *valid* generation (torn/corrupt/skewed
+ *     files are recorded in ResumeInfo::rejected, logged, and skipped —
+ *     never silently loaded), verify its config fingerprint against the
+ *     live run, and preload the journal;
+ *  3. run the workload's body with a `tick` it hangs on the journal's
+ *     record hooks: completed units are recorded as they finish, and every
+ *     `checkpoint_every` ticks a new generation is published via the
+ *     atomic-rename protocol;
  *  4. final checkpoint: the finished journal is always published, so a
  *     later invocation resumes straight to the report.
+ *
+ * supervise_sweep/check/calibration and dse::supervise_exploration supply
+ * only a fingerprint, a journal and a body. The sweep body adds retry
+ * rounds: failed points are erased from the journal and re-run, up to
+ * `retry_rounds` extra passes with exponential backoff between them —
+ * transient failures (wall-clock truncation on a loaded host, resource
+ * exhaustion) heal, deterministic ones fail identically and are reported
+ * as data. supervise_simulation snapshots a whole simulator instead of a
+ * journal and shares only the core's load-newest-valid-generation step.
  *
  * Resuming a finished or partial run is byte-identical to running it
  * uninterrupted, at any thread count: journaled outcomes replay verbatim,
@@ -82,10 +87,29 @@ struct ResumeInfo {
     std::vector<Rejected> rejected;
 };
 
-struct SupervisedSweep {
-    runner::SweepReport report;
+/// What every supervised run reports besides its result.
+struct SupervisedRun {
     ResumeInfo resume;
-    std::uint64_t checkpoints{0};     ///< generations published this run
+    std::uint64_t checkpoints{0}; ///< generations published this run
+};
+
+/**
+ * The supervision core (steps 1-4 above): resume @p journal from the
+ * newest valid @p kind generation in sup.dir, run @p body with the tick
+ * to fire once per completed unit, then publish the final generation.
+ * Fills @p out's resume info and checkpoint count. Checking that the
+ * workload's own seams are unset is the caller's job.
+ * @throws std::invalid_argument on bad @p sup; std::runtime_error when
+ *         the stored fingerprint differs from @p fingerprint.
+ */
+void supervise(const SupervisorOptions& sup, const std::string& kind,
+               const io::Json& fingerprint, JournalDocument& journal,
+               SupervisedRun& out,
+               const std::function<void(const std::function<void()>& tick)>&
+                   body);
+
+struct SupervisedSweep : SupervisedRun {
+    runner::SweepReport report;
     std::size_t retry_rounds_used{0};
 };
 
@@ -98,10 +122,8 @@ SupervisedSweep supervise_sweep(const runner::Sweep& sweep,
                                 runner::SweepOptions options,
                                 const SupervisorOptions& sup);
 
-struct SupervisedCheck {
+struct SupervisedCheck : SupervisedRun {
     check::CheckReport report;
-    ResumeInfo resume;
-    std::uint64_t checkpoints{0};
 };
 
 /**
@@ -113,10 +135,8 @@ SupervisedCheck supervise_check(check::CheckOptions copts,
                                 const std::vector<check::CorpusEntry>& corpus,
                                 const SupervisorOptions& sup);
 
-struct SupervisedCalibration {
+struct SupervisedCalibration : SupervisedRun {
     calib::CalibrationReport report;
-    ResumeInfo resume;
-    std::uint64_t checkpoints{0};
 };
 
 /**
@@ -130,10 +150,8 @@ SupervisedCalibration supervise_calibration(calib::ParameterSpace space,
                                             calib::CalibratorOptions opts,
                                             const SupervisorOptions& sup);
 
-struct SupervisedSimulation {
+struct SupervisedSimulation : SupervisedRun {
     sim::SimResult result;
-    ResumeInfo resume;
-    std::uint64_t checkpoints{0};
     std::uint64_t segments{0};    ///< advance() calls this invocation
 };
 

@@ -4,17 +4,18 @@
  * seams).
  *
  * ExploreJournal is the completed-work journal for an exploration
- * campaign: model-oracle Evaluations keyed by canonical config string,
- * plus DES validations of frontier members under the same keys. Both
- * round-trip through JSON bit-exactly (doubles as IEEE-754 hex, u64 as
- * hex strings), so a resumed run replays journaled outcomes verbatim.
+ * campaign: two ckpt::Journal sections, model-oracle Evaluations ("evals")
+ * and DES validations of frontier members ("des"), both keyed by
+ * canonical config string. Both round-trip through JSON bit-exactly
+ * (doubles as IEEE-754 hex, u64 as hex strings), so a resumed run replays
+ * journaled outcomes verbatim.
  *
- * supervise_exploration() wraps explore() in the PR-8 supervision loop:
- * resume from the newest valid "explore" generation (fingerprint-checked
- * against the live campaign), wire the journal into the
- * resume_eval/on_eval and resume_des/on_des seams, publish a generation
- * every checkpoint_every completions, and always publish a final
- * checkpoint. A run SIGKILLed at any point and resumed produces a
+ * supervise_exploration() runs explore() through the ckpt supervision
+ * core: resume from the newest valid "explore" generation
+ * (fingerprint-checked against the live campaign), wire the journal into
+ * the resume_eval/on_eval and resume_des/on_des seams, publish a
+ * generation every checkpoint_every completions, and always publish a
+ * final checkpoint. A run SIGKILLed at any point and resumed produces a
  * FrontierReport byte-identical to the uninterrupted run, at any thread
  * count — journal replay satisfies the *work* of a memo-cache miss
  * without perturbing the miss count (see memo.hpp).
@@ -23,9 +24,6 @@
 #define LOGNIC_DSE_SUPERVISE_HPP_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "lognic/ckpt/supervisor.hpp"
@@ -37,53 +35,45 @@ namespace lognic::dse {
 /// Frame kind used by exploration checkpoints.
 inline constexpr const char* kExploreCheckpointKind = "explore";
 
-/**
- * Journal of completed exploration units. Thread-safe: the record hooks
- * fire from evaluation worker threads. record_*_fn()'s optional @p after
- * callback runs outside the journal lock (the supervisor hangs the
- * periodic checkpoint there).
- */
-class ExploreJournal {
-  public:
-    ExploreJournal() = default;
-
-    /// {"evals": [{"key": ..., ...}], "des": [{"key": ..., ...}]}
-    io::Json to_json() const;
-    /// Replace the contents from a journal document.
-    /// @throws std::runtime_error on malformed input.
-    void load_json(const io::Json& j);
-
-    std::size_t eval_count() const;
-    std::size_t des_count() const;
-
-    void record_eval(const std::string& key, Evaluation done);
-    bool lookup_eval(const std::string& key, Evaluation& out) const;
-    void record_des(const std::string& key, DesValidation done);
-    bool lookup_des(const std::string& key, DesValidation& out) const;
-
-    /// Adapters for the ExploreOptions seams. The journal must outlive
-    /// the returned functions.
-    EvalLookup eval_lookup_fn() const;
-    EvalHook eval_record_fn(std::function<void()> after = {});
-    DesLookup des_lookup_fn() const;
-    DesHook des_record_fn(std::function<void()> after = {});
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::string, Evaluation> evals_;
-    std::map<std::string, DesValidation> des_;
-};
-
 // Bit-exact (de)serialization of journal entries; exposed for tests.
 io::Json evaluation_to_json(const Evaluation& e);
 Evaluation evaluation_from_json(const io::Json& j);
 io::Json des_validation_to_json(const DesValidation& v);
 DesValidation des_validation_from_json(const io::Json& j);
 
-struct SupervisedExploration {
+/// Model-oracle evaluations keyed by canonical config string.
+struct EvalCodec : ckpt::NameKey {
+    using Record = Evaluation;
+    static constexpr const char* kName = "explore journal (evals)";
+    static constexpr const char* kSection = "evals";
+    static constexpr const char* kKeyField = "key";
+    static constexpr auto encode = evaluation_to_json;
+    static constexpr auto decode = evaluation_from_json;
+};
+
+/// DES validations of frontier members, keyed like the evaluations.
+struct DesCodec : ckpt::NameKey {
+    using Record = DesValidation;
+    static constexpr const char* kName = "explore journal (des)";
+    static constexpr const char* kSection = "des";
+    static constexpr const char* kKeyField = "key";
+    static constexpr auto encode = des_validation_to_json;
+    static constexpr auto decode = des_validation_from_json;
+};
+
+/// {"des": [{"key": ..., ...}], "evals": [{"key": ..., ...}]}: one
+/// thread-safe journal per section.
+struct ExploreJournal final : ckpt::JournalDocument {
+    ckpt::Journal<EvalCodec> evals;
+    ckpt::Journal<DesCodec> des;
+
+    io::Json to_json() const override;
+    void load_json(const io::Json& j) override;
+    std::size_t size() const override;
+};
+
+struct SupervisedExploration : ckpt::SupervisedRun {
     FrontierReport report;
-    ckpt::ResumeInfo resume;
-    std::uint64_t checkpoints{0}; ///< generations published this run
 };
 
 /**

@@ -1,8 +1,8 @@
 /**
  * @file
- * Kill-tolerant run supervision: checkpoint-store wiring, resume with
- * fingerprint verification, periodic publication, and sweep retry rounds.
- * See supervisor.hpp for the loop contract.
+ * Kill-tolerant run supervision: the one supervision core (store wiring,
+ * fingerprint-verified resume, periodic publication) and the workloads
+ * built on it. See supervisor.hpp for the loop contract.
  */
 #include "lognic/ckpt/supervisor.hpp"
 
@@ -59,23 +59,36 @@ make_payload(const io::Json& fingerprint, const io::Json& journal)
     return doc.dump(-1);
 }
 
+/// Load the newest valid generation, recording and logging every
+/// rejected (torn, corrupt, version-skewed) one on the way.
+std::optional<Loaded>
+load_newest(const CheckpointStore& store, const SupervisorOptions& sup,
+            ResumeInfo& info)
+{
+    auto loaded = store.load_latest(&info.rejected);
+    for (const auto& r : info.rejected)
+        log_to(sup, "checkpoint: skipping " + r.path + ": " + r.reason);
+    if (loaded) {
+        info.resumed = true;
+        info.generation = loaded->generation;
+    }
+    return loaded;
+}
+
 /**
  * Load the newest valid generation, verify its fingerprint, and hand the
- * journal document to @p load. Rejected generations are logged and
- * recorded; a fingerprint mismatch throws (the directory holds a journal
- * for a different campaign — resuming it would mix incompatible work).
+ * journal document to @p journal. A fingerprint mismatch throws (the
+ * directory holds a journal for a different campaign — resuming it would
+ * mix incompatible work).
  */
 ResumeInfo
 resume_into(const CheckpointStore& store, const io::Json& fingerprint,
-            const SupervisorOptions& sup,
-            const std::function<void(const io::Json&)>& load)
+            const SupervisorOptions& sup, JournalDocument& journal)
 {
     ResumeInfo info;
     if (!sup.resume)
         return info;
-    const auto loaded = store.load_latest(&info.rejected);
-    for (const auto& r : info.rejected)
-        log_to(sup, "checkpoint: skipping " + r.path + ": " + r.reason);
+    const auto loaded = load_newest(store, sup, info);
     if (!loaded)
         return info;
     const io::Json doc = io::Json::parse(loaded->payload);
@@ -89,9 +102,8 @@ resume_into(const CheckpointStore& store, const io::Json& fingerprint,
             + have + ", running " + want
             + "); point --checkpoint at a fresh directory or rerun the "
               "original spec");
-    load(doc.at("journal"));
-    info.resumed = true;
-    info.generation = loaded->generation;
+    journal.load_json(doc.at("journal"));
+    info.completed = journal.size();
     log_to(sup, "checkpoint: resumed from generation "
                     + std::to_string(loaded->generation) + " in '"
                     + store.dir() + "'");
@@ -108,9 +120,9 @@ resume_into(const CheckpointStore& store, const io::Json& fingerprint,
 class Publisher {
 public:
     Publisher(CheckpointStore& store, const SupervisorOptions& sup,
-              io::Json fingerprint, std::function<io::Json()> journal_json)
-        : store_(store), sup_(sup), fingerprint_(std::move(fingerprint)),
-          journal_json_(std::move(journal_json))
+              const io::Json& fingerprint, const JournalDocument& journal)
+        : store_(store), sup_(sup), fingerprint_(fingerprint),
+          journal_(journal)
     {
     }
 
@@ -141,14 +153,14 @@ public:
 private:
     void publish_locked()
     {
-        store_.save(make_payload(fingerprint_, journal_json_()));
+        store_.save(make_payload(fingerprint_, journal_.to_json()));
         ++checkpoints_;
     }
 
     CheckpointStore& store_;
     const SupervisorOptions& sup_;
-    io::Json fingerprint_;
-    std::function<io::Json()> journal_json_;
+    const io::Json& fingerprint_;
+    const JournalDocument& journal_;
     mutable std::mutex mutex_;
     std::uint64_t pending_{0};
     std::uint64_t checkpoints_{0};
@@ -156,13 +168,29 @@ private:
 
 } // namespace
 
+// --- the supervision core -----------------------------------------------------
+
+void
+supervise(const SupervisorOptions& sup, const std::string& kind,
+          const io::Json& fingerprint, JournalDocument& journal,
+          SupervisedRun& out,
+          const std::function<void(const std::function<void()>& tick)>& body)
+{
+    validate_options(sup);
+    CheckpointStore store(sup.dir, kind, StoreOptions{sup.retention});
+    out.resume = resume_into(store, fingerprint, sup, journal);
+    Publisher publisher(store, sup, fingerprint, journal);
+    body([&publisher] { publisher.tick(); });
+    publisher.flush();
+    out.checkpoints = publisher.checkpoints();
+}
+
 // --- sweeps -------------------------------------------------------------------
 
 SupervisedSweep
 supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
                 const SupervisorOptions& sup)
 {
-    validate_options(sup);
     if (options.resume_lookup || options.on_task_complete)
         throw std::invalid_argument(
             "supervise_sweep: options.resume_lookup/on_task_complete are "
@@ -177,40 +205,30 @@ supervise_sweep(const runner::Sweep& sweep, runner::SweepOptions options,
     // threads intentionally absent: results are thread-count independent,
     // so resuming on a different machine width is legitimate.
 
-    CheckpointStore store(sup.dir, "sweep", StoreOptions{sup.retention});
     TaskJournal journal;
     SupervisedSweep out;
-    out.resume = resume_into(store, fp, sup, [&](const io::Json& j) {
-        journal.load_json(j);
-    });
-    out.resume.completed = journal.size();
-
-    Publisher publisher(store, sup, fp, [&journal] {
-        return journal.to_json();
-    });
-    options.resume_lookup = journal.lookup_fn();
-    options.on_task_complete =
-        journal.record_fn([&publisher] { publisher.tick(); });
-
-    out.report = sweep.run_guarded(options);
-
-    double backoff = sup.backoff_initial_seconds;
-    while (out.retry_rounds_used < sup.retry_rounds
-           && !out.report.failed.empty()) {
-        ++out.retry_rounds_used;
-        log_to(sup, "supervisor: retry round "
-                        + std::to_string(out.retry_rounds_used) + ": "
-                        + std::to_string(out.report.failed.size())
-                        + " failed point(s), backing off "
-                        + std::to_string(backoff) + "s");
-        do_sleep(sup, backoff);
-        backoff *= sup.backoff_multiplier;
-        journal.erase_failed();
+    supervise(sup, "sweep", fp, journal, out, [&](const auto& tick) {
+        options.resume_lookup = journal.lookup_fn();
+        options.on_task_complete = journal.record_fn(tick);
         out.report = sweep.run_guarded(options);
-    }
 
-    publisher.flush();
-    out.checkpoints = publisher.checkpoints();
+        double backoff = sup.backoff_initial_seconds;
+        while (out.retry_rounds_used < sup.retry_rounds
+               && !out.report.failed.empty()) {
+            ++out.retry_rounds_used;
+            log_to(sup, "supervisor: retry round "
+                            + std::to_string(out.retry_rounds_used) + ": "
+                            + std::to_string(out.report.failed.size())
+                            + " failed point(s), backing off "
+                            + std::to_string(backoff) + "s");
+            do_sleep(sup, backoff);
+            backoff *= sup.backoff_multiplier;
+            journal.erase_if([](const runner::CompletedTask& t) {
+                return !t.ok;
+            });
+            out.report = sweep.run_guarded(options);
+        }
+    });
     return out;
 }
 
@@ -221,7 +239,6 @@ supervise_check(check::CheckOptions copts,
                 const std::vector<check::CorpusEntry>& corpus,
                 const SupervisorOptions& sup)
 {
-    validate_options(sup);
     if (copts.resume_lookup || copts.on_trial_complete)
         throw std::invalid_argument(
             "supervise_check: copts.resume_lookup/on_trial_complete are "
@@ -240,32 +257,20 @@ supervise_check(check::CheckOptions copts,
         names.push_back(e.name);
     fp.set("corpus", std::move(names));
 
-    CheckpointStore store(sup.dir, "check", StoreOptions{sup.retention});
     CheckJournal journal;
     SupervisedCheck out;
-    out.resume = resume_into(store, fp, sup, [&](const io::Json& j) {
-        journal.load_json(j);
+    supervise(sup, "check", fp, journal, out, [&](const auto& tick) {
+        copts.resume_lookup = journal.lookup_fn();
+        copts.on_trial_complete = journal.record_fn(tick);
+        // Same composition as `lognic check`: corpus replay first, random
+        // trials merged on top — so a supervised report is byte-identical
+        // to an unsupervised one.
+        if (!corpus.empty())
+            out.report = check::replay_corpus(corpus, copts);
+        if (copts.trials > 0)
+            out.report = check::merge(std::move(out.report),
+                                      check::run_trials(copts));
     });
-    out.resume.completed = journal.size();
-
-    Publisher publisher(store, sup, fp, [&journal] {
-        return journal.to_json();
-    });
-    copts.resume_lookup = journal.lookup_fn();
-    copts.on_trial_complete =
-        journal.record_fn([&publisher] { publisher.tick(); });
-
-    // Same composition as `lognic check`: corpus replay first, random
-    // trials merged on top — so a supervised report is byte-identical to
-    // an unsupervised one.
-    if (!corpus.empty())
-        out.report = check::replay_corpus(corpus, copts);
-    if (copts.trials > 0)
-        out.report =
-            check::merge(std::move(out.report), check::run_trials(copts));
-
-    publisher.flush();
-    out.checkpoints = publisher.checkpoints();
     return out;
 }
 
@@ -276,7 +281,6 @@ supervise_calibration(calib::ParameterSpace space, calib::Dataset data,
                       calib::CalibratorOptions opts,
                       const SupervisorOptions& sup)
 {
-    validate_options(sup);
     if (opts.fit.resume_lookup || opts.fit.on_start_complete)
         throw std::invalid_argument(
             "supervise_calibration: fit.resume_lookup/on_start_complete "
@@ -291,27 +295,15 @@ supervise_calibration(calib::ParameterSpace space, calib::Dataset data,
     fp.set("holdout_fraction", io::double_to_hex(opts.holdout_fraction));
     fp.set("k_folds", io::u64_to_hex(opts.k_folds));
 
-    CheckpointStore store(sup.dir, "calib", StoreOptions{sup.retention});
     FitJournal journal;
     SupervisedCalibration out;
-    out.resume = resume_into(store, fp, sup, [&](const io::Json& j) {
-        journal.load_json(j);
+    supervise(sup, "calib", fp, journal, out, [&](const auto& tick) {
+        opts.fit.resume_lookup = journal.lookup_fn();
+        opts.fit.on_start_complete = journal.record_fn(tick);
+        const calib::Calibrator calibrator(std::move(space), std::move(data),
+                                           std::move(opts));
+        out.report = calibrator.fit();
     });
-    out.resume.completed = journal.size();
-
-    Publisher publisher(store, sup, fp, [&journal] {
-        return journal.to_json();
-    });
-    opts.fit.resume_lookup = journal.lookup_fn();
-    opts.fit.on_start_complete =
-        journal.record_fn([&publisher] { publisher.tick(); });
-
-    const calib::Calibrator calibrator(std::move(space), std::move(data),
-                                       std::move(opts));
-    out.report = calibrator.fit();
-
-    publisher.flush();
-    out.checkpoints = publisher.checkpoints();
     return out;
 }
 
@@ -329,24 +321,17 @@ supervise_simulation(sim::NicSimulator& sim,
 
     CheckpointStore store(sup.dir, "sim", StoreOptions{sup.retention});
     SupervisedSimulation out;
-    bool resumed = false;
-    if (sup.resume) {
-        const auto loaded = store.load_latest(&out.resume.rejected);
-        for (const auto& r : out.resume.rejected)
-            log_to(sup, "checkpoint: skipping " + r.path + ": " + r.reason);
-        if (loaded) {
-            // load_state() validates the snapshot's config fingerprint
-            // against the live simulator and throws on mismatch.
-            sim.load_state(io::Json::parse(loaded->payload));
-            out.resume.resumed = true;
-            out.resume.generation = loaded->generation;
-            log_to(sup, "checkpoint: resumed simulation from generation "
-                            + std::to_string(loaded->generation));
-            resumed = true;
-        }
-    }
-    if (!resumed)
+    const auto loaded = sup.resume ? load_newest(store, sup, out.resume)
+                                   : std::nullopt;
+    if (loaded) {
+        // load_state() validates the snapshot's config fingerprint
+        // against the live simulator and throws on mismatch.
+        sim.load_state(io::Json::parse(loaded->payload));
+        log_to(sup, "checkpoint: resumed simulation from generation "
+                        + std::to_string(loaded->generation));
+    } else {
         sim.begin();
+    }
 
     std::uint64_t since = 0;
     for (;;) {

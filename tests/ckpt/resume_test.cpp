@@ -103,7 +103,8 @@ TEST(JournalRoundTrip, TaskJournalIsBitExactThroughDumpAndParse)
     TaskJournal back;
     back.load_json(io::Json::parse(j.dump(-1)));
     EXPECT_EQ(back.size(), 2u);
-    EXPECT_EQ(back.failed_count(), 1u);
+    const auto failed = [](const runner::CompletedTask& t) { return !t.ok; };
+    EXPECT_EQ(back.count_if(failed), 1u);
     // Re-serialization equality is the strongest bit-exactness check:
     // every hex-encoded double and u64 must survive untouched.
     EXPECT_EQ(back.to_json().dump(-1), j.dump(-1));
@@ -118,7 +119,7 @@ TEST(JournalRoundTrip, TaskJournalIsBitExactThroughDumpAndParse)
     EXPECT_EQ(out.error, bad.error);
     EXPECT_FALSE(back.lookup(0, out));
 
-    EXPECT_EQ(back.erase_failed(), 1u);
+    EXPECT_EQ(back.erase_if(failed), 1u);
     EXPECT_EQ(back.size(), 1u);
 }
 

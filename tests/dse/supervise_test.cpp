@@ -103,7 +103,7 @@ TEST(ExploreJournal, BitExactThroughDumpAndParse)
 
     dse::Evaluation good;
     good.objectives = {21.677419354838712, 4708.091500455128};
-    journal.record_eval("cfg-a", good);
+    journal.evals.record("cfg-a", good);
 
     dse::Evaluation bad;
     bad.objectives = {std::numeric_limits<double>::quiet_NaN(),
@@ -111,7 +111,7 @@ TEST(ExploreJournal, BitExactThroughDumpAndParse)
     bad.feasible = false;
     bad.finite = false;
     bad.why = "evaluation failed: \"quoted\" and\nnewline";
-    journal.record_eval("cfg-b", bad);
+    journal.evals.record("cfg-b", bad);
 
     dse::DesValidation v;
     v.ok = true;
@@ -123,27 +123,46 @@ TEST(ExploreJournal, BitExactThroughDumpAndParse)
     v.drop_rate = 0.56529433642501503;
     v.throughput_disagreement = 0.0055394449781385989;
     v.p99_disagreement = -24.490288639479211;
-    journal.record_des("cfg-a", v);
+    journal.des.record("cfg-a", v);
 
     const io::Json j = journal.to_json();
     dse::ExploreJournal back;
     back.load_json(io::Json::parse(j.dump(-1)));
-    EXPECT_EQ(back.eval_count(), 2u);
-    EXPECT_EQ(back.des_count(), 1u);
+    EXPECT_EQ(back.evals.size(), 2u);
+    EXPECT_EQ(back.des.size(), 1u);
     // Re-serialization equality: every hex double/u64 survives untouched.
     EXPECT_EQ(back.to_json().dump(-1), j.dump(-1));
 
     dse::Evaluation eval_back;
-    ASSERT_TRUE(back.lookup_eval("cfg-b", eval_back));
+    ASSERT_TRUE(back.evals.lookup("cfg-b", eval_back));
     EXPECT_TRUE(std::isnan(eval_back.objectives[0]));
     EXPECT_TRUE(std::isinf(eval_back.objectives[1]));
     dse::DesValidation des_back;
-    ASSERT_TRUE(back.lookup_des("cfg-a", des_back));
+    ASSERT_TRUE(back.des.lookup("cfg-a", des_back));
     EXPECT_EQ(des_back.seed, v.seed);
     EXPECT_EQ(des_back.delivered_gbps, v.delivered_gbps);
 
     EXPECT_THROW(back.load_json(io::Json::parse("{\"evals\": 3}")),
                  std::runtime_error);
+
+    // A repeated key in either section would silently drop work: the
+    // document is refused, naming the key.
+    for (const char* section : {"evals", "des"}) {
+        io::Json entries = j.at(section);
+        const io::Json first = entries.as_array().front();
+        entries.push_back(first);
+        io::Json dup = j;
+        dup.set(section, entries);
+        const std::string key = first.at("key").as_string();
+        try {
+            back.load_json(io::Json::parse(dup.dump(-1)));
+            ADD_FAILURE() << "duplicate " << section << " key accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ExploreJournal, PrunedFlagRoundTripsAndDefaultsFalse)
@@ -155,19 +174,19 @@ TEST(ExploreJournal, PrunedFlagRoundTripsAndDefaultsFalse)
     pruned.feasible = false;
     pruned.pruned = true;
     pruned.why = "pruned: constraint violated: throughput_gbps = 5";
-    journal.record_eval("cfg-pruned", pruned);
+    journal.evals.record("cfg-pruned", pruned);
     dse::Evaluation solved;
     solved.objectives = {21.0, 4700.0};
-    journal.record_eval("cfg-solved", solved);
+    journal.evals.record("cfg-solved", solved);
 
     dse::ExploreJournal back;
     back.load_json(io::Json::parse(journal.to_json().dump(-1)));
     dse::Evaluation e;
-    ASSERT_TRUE(back.lookup_eval("cfg-pruned", e));
+    ASSERT_TRUE(back.evals.lookup("cfg-pruned", e));
     EXPECT_TRUE(e.pruned);
     EXPECT_FALSE(e.feasible);
     EXPECT_EQ(e.why, pruned.why);
-    ASSERT_TRUE(back.lookup_eval("cfg-solved", e));
+    ASSERT_TRUE(back.evals.lookup("cfg-solved", e));
     EXPECT_FALSE(e.pruned);
 
     // A pre-pruning journal has no "pruned" field: every entry was a
@@ -181,7 +200,7 @@ TEST(ExploreJournal, PrunedFlagRoundTripsAndDefaultsFalse)
     ASSERT_EQ(legacy.find("\"pruned\":"), std::string::npos);
     dse::ExploreJournal old;
     old.load_json(io::Json::parse(legacy));
-    ASSERT_TRUE(old.lookup_eval("cfg-pruned", e));
+    ASSERT_TRUE(old.evals.lookup("cfg-pruned", e));
     EXPECT_FALSE(e.pruned);
 }
 

@@ -73,15 +73,15 @@ TEST(JsonDocuments, JournalsRoundTrip)
     dse::ExploreJournal explore;
     dse::Evaluation eval;
     eval.objectives = {12.5, 40.0, 3.0};
-    explore.record_eval("cfg-a", eval);
+    explore.evals.record("cfg-a", eval);
     dse::DesValidation des;
     des.ok = true;
     des.replications = 2;
-    explore.record_des("cfg-a", des);
+    explore.des.record("cfg-a", des);
     dse::ExploreJournal explore_back;
     explore_back.load_json(Json::parse(explore.to_json().dump(2)));
-    EXPECT_EQ(explore_back.eval_count(), 1u);
-    EXPECT_EQ(explore_back.des_count(), 1u);
+    EXPECT_EQ(explore_back.evals.size(), 1u);
+    EXPECT_EQ(explore_back.des.size(), 1u);
 
     ckpt::TaskJournal tasks;
     runner::CompletedTask failed;
@@ -90,7 +90,10 @@ TEST(JsonDocuments, JournalsRoundTrip)
     ckpt::TaskJournal tasks_back;
     tasks_back.load_json(Json::parse(tasks.to_json().dump(2)));
     EXPECT_EQ(tasks_back.size(), 1u);
-    EXPECT_EQ(tasks_back.failed_count(), 1u);
+    EXPECT_EQ(tasks_back.count_if([](const runner::CompletedTask& t) {
+                  return !t.ok;
+              }),
+              1u);
 }
 
 } // namespace

@@ -91,6 +91,7 @@
 #include "lognic/dse/supervise.hpp"
 #include "lognic/fault/degradation.hpp"
 #include "lognic/fault/fault_plan.hpp"
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/core/reporting.hpp"
 #include "lognic/core/sensitivity.hpp"
 #include "lognic/io/serialize.hpp"
@@ -227,18 +228,20 @@ parse_ckpt_arg(CkptArgs& ck, int argc, char** argv, int& i,
         ck.sup.resume = false;
         return true;
     }
+    // Counts are parsed strictly: "-1" or "8x" is an error naming the
+    // flag, not a silent wrap-around or truncation.
     if (arg == "--every" && has_value) {
-        ck.sup.checkpoint_every =
-            static_cast<std::uint64_t>(std::atoll(argv[++i]));
+        ck.sup.checkpoint_every = io::parse_u64(argv[++i], arg);
         return true;
     }
     if (arg == "--retention" && has_value) {
-        ck.sup.retention = static_cast<std::size_t>(std::atoll(argv[++i]));
+        ck.sup.retention =
+            static_cast<std::size_t>(io::parse_u64(argv[++i], arg));
         return true;
     }
     if (allow_retries && arg == "--retries" && has_value) {
         ck.sup.retry_rounds =
-            static_cast<std::size_t>(std::atoll(argv[++i]));
+            static_cast<std::size_t>(io::parse_u64(argv[++i], arg));
         return true;
     }
     return false;
