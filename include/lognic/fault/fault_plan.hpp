@@ -70,6 +70,23 @@ struct FaultEvent {
     std::uint32_t capacity{1}; ///< queue-capacity override (>= 1)
 };
 
+/**
+ * One instant of a plan's replay: an event's start, or the automatic end
+ * of its `duration` window, with the value it sets already resolved.
+ */
+struct FaultStep {
+    double at{0.0};
+    FaultKind kind{FaultKind::kEngineFail};
+    std::string target;
+    std::string label; ///< "<kind>[/end]:<target>", the trace instant name
+    /// Engine kinds: engines taken offline (> 0) or brought back (< 0).
+    std::int64_t engines{0};
+    /// Other kinds: the slowdown or degrade factor, drop probability, or
+    /// queue capacity in force from here on. A window end restores the
+    /// healthy value: factor 1, probability 0, capacity 0 (= configured).
+    double value{0.0};
+};
+
 struct FaultPlan {
     std::vector<FaultEvent> events;
     /// Applies to every engine-fail event in the plan.
@@ -79,6 +96,14 @@ struct FaultPlan {
 
     /// Events ordered by (time, insertion order) — the replay order.
     std::vector<FaultEvent> sorted() const;
+
+    /**
+     * The replay timeline up to @p horizon: every event's start plus the
+     * automatic end of each `duration` window, stable-sorted by time,
+     * without the steps after @p horizon. The one definition of what a
+     * window end means, shared by both simulators and apply_faults_at.
+     */
+    std::vector<FaultStep> timeline(double horizon) const;
 
     /**
      * Check per-kind parameter ranges (times finite and >= 0, slowdown

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <stdexcept>
-#include <tuple>
 
 #include "lognic/core/model.hpp"
 
@@ -35,41 +34,18 @@ is_link_name(const std::string& target)
 SteadyState
 replay(const FaultPlan& plan, double t)
 {
-    struct Timed {
-        double at;
-        FaultEvent ev;
-        bool inverse;
-    };
-    std::vector<Timed> timeline;
-    for (const FaultEvent& ev : plan.sorted()) {
-        timeline.push_back({ev.at, ev, false});
-        if (ev.duration > 0.0)
-            timeline.push_back({ev.at + ev.duration, ev, true});
-    }
-    std::stable_sort(timeline.begin(), timeline.end(),
-                     [](const Timed& a, const Timed& b) { return a.at < b.at; });
-
     SteadyState st;
-    for (const Timed& item : timeline) {
-        if (item.at > t)
-            break;
-        const FaultEvent& ev = item.ev;
-        switch (ev.kind) {
+    for (const FaultStep& step : plan.timeline(t)) {
+        switch (step.kind) {
           case FaultKind::kEngineFail:
-            st.engines_down[ev.target] +=
-                item.inverse ? -static_cast<std::int64_t>(ev.count)
-                             : static_cast<std::int64_t>(ev.count);
-            break;
           case FaultKind::kEngineRecover:
-            st.engines_down[ev.target] +=
-                item.inverse ? static_cast<std::int64_t>(ev.count)
-                             : -static_cast<std::int64_t>(ev.count);
+            st.engines_down[step.target] += step.engines;
             break;
           case FaultKind::kSlowdown:
-            st.slowdown[ev.target] = item.inverse ? 1.0 : ev.factor;
+            st.slowdown[step.target] = step.value;
             break;
           case FaultKind::kLinkDegrade:
-            st.link_factor[ev.target] = item.inverse ? 1.0 : ev.factor;
+            st.link_factor[step.target] = step.value;
             break;
           case FaultKind::kDropBurst:
             // Transient loss does not move the analytical operating point;
@@ -77,7 +53,7 @@ replay(const FaultPlan& plan, double t)
             // checked by the caller.
             break;
           case FaultKind::kQueueCapacity:
-            st.queue_cap[ev.target] = item.inverse ? 0u : ev.capacity;
+            st.queue_cap[step.target] = static_cast<std::uint32_t>(step.value);
             break;
         }
     }

@@ -17,6 +17,35 @@ describe(std::size_t index, const FaultEvent& ev)
         + ev.target + "'): ";
 }
 
+/// The step @p ev takes at its start, or at the end of its window.
+FaultStep
+step_of(const FaultEvent& ev, bool window_end)
+{
+    FaultStep s{window_end ? ev.at + ev.duration : ev.at, ev.kind, ev.target,
+                std::string(to_string(ev.kind))
+                    + (window_end ? "/end:" : ":") + ev.target};
+    const auto count = static_cast<std::int64_t>(ev.count);
+    switch (ev.kind) {
+      case FaultKind::kEngineFail:
+        s.engines = window_end ? -count : count;
+        break;
+      case FaultKind::kEngineRecover:
+        s.engines = window_end ? count : -count;
+        break;
+      case FaultKind::kSlowdown:
+      case FaultKind::kLinkDegrade:
+        s.value = window_end ? 1.0 : ev.factor;
+        break;
+      case FaultKind::kDropBurst:
+        s.value = window_end ? 0.0 : ev.probability;
+        break;
+      case FaultKind::kQueueCapacity:
+        s.value = window_end ? 0.0 : static_cast<double>(ev.capacity);
+        break;
+    }
+    return s;
+}
+
 } // namespace
 
 const char*
@@ -78,6 +107,24 @@ FaultPlan::sorted() const
                          return a.at < b.at;
                      });
     return out;
+}
+
+std::vector<FaultStep>
+FaultPlan::timeline(double horizon) const
+{
+    std::vector<FaultStep> steps;
+    for (const FaultEvent& ev : sorted()) {
+        if (ev.at > horizon)
+            continue;
+        steps.push_back(step_of(ev, false));
+        if (ev.duration > 0.0 && ev.at + ev.duration <= horizon)
+            steps.push_back(step_of(ev, true));
+    }
+    std::stable_sort(steps.begin(), steps.end(),
+                     [](const FaultStep& a, const FaultStep& b) {
+                         return a.at < b.at;
+                     });
+    return steps;
 }
 
 void

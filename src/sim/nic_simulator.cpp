@@ -1,14 +1,13 @@
 #include "lognic/sim/nic_simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "lognic/io/checkpoint.hpp"
 #include "lognic/sim/packet_slab.hpp"
+#include "run_ledger.hpp"
 
 namespace lognic::sim {
 
@@ -56,16 +55,35 @@ struct Packet {
     std::uint64_t serial{0};    ///< pending_kind 2, faults active only
 };
 
-/// Fixed latency-histogram buckets (microseconds, log-spaced). Fixed
-/// across runs so replication snapshots aggregate bucket-wise.
-const std::vector<double>&
-latency_bounds_us()
+/// Snapshot encodings: doubles and counters travel as hex bit patterns,
+/// so a dump -> parse -> load round-trip is bit-exact.
+io::Json
+hex_d(double v)
 {
-    static const std::vector<double> bounds{
-        1.0,    2.0,    5.0,    10.0,   20.0,    50.0,    100.0,
-        200.0,  500.0,  1000.0, 2000.0, 5000.0,  10000.0, 20000.0,
-        50000.0};
-    return bounds;
+    return io::Json(io::double_to_hex(v));
+}
+
+io::Json
+hex_u(std::uint64_t v)
+{
+    return io::Json(io::u64_to_hex(v));
+}
+
+io::Json
+num(double v)
+{
+    return io::Json(v);
+}
+
+/// A JSON array holding @p encode of every element of @p range.
+template <typename Range, typename Encode>
+io::Json
+json_array(const Range& range, Encode encode)
+{
+    io::JsonArray arr;
+    for (const auto& x : range)
+        arr.push_back(encode(x));
+    return io::Json(std::move(arr));
 }
 
 /// FIFO bandwidth server: transfers serialize, later ones wait.
@@ -85,13 +103,6 @@ struct LinkServer {
         free_at = start + (payload / (bw * factor)).seconds();
         return free_at;
     }
-};
-
-/// Cause slots for the lifetime drop accounting.
-enum DropCause : int {
-    kDropOverflow = 0,   ///< finite queue was full
-    kDropBurstLoss = 1,  ///< fault-injected transient drop burst
-    kDropEngineFail = 2, ///< in-service request lost to an engine failure
 };
 
 } // namespace
@@ -141,50 +152,20 @@ struct NicSimulator::Impl {
     const TrafficProfile traffic;
     const SimOptions options;
 
-    EventQueue events;
-    Rng rng;
-    SimTime warmup_end;
-    LatencyRecorder latencies;
-    ThroughputMeter delivered;
-    /// Arrivals and drops inside the (warmup_end, horizon] window; their
-    /// ratio is the reported drop_rate (same window as completions).
-    WindowedCounter offered_in_window;
-    WindowedCounter drops_in_window;
-    obs::Histogram latency_hist{latency_bounds_us()};
+    RunLedger ledger;
     /// In-flight packet records; recycled rather than heap-allocated per
     /// arrival (see packet_slab.hpp for the determinism argument).
     Slab<Packet> packet_slab;
-    std::uint64_t generated{0};
-
-    // --- lifetime conservation accounting -----------------------------------
-    // generated == completed_total + sum(dropped_cause) + in_transit
-    //              + queued + busy, asserted at end of run.
-    std::uint64_t completed_total{0};
-    std::uint64_t dropped_cause[3]{0, 0, 0};
-    /// Packets between vertices: in an overhead delay or a link transfer.
-    std::uint64_t in_transit{0};
 
     // --- fault injection (inert when the plan is empty) ---------------------
     const bool faults_active;
-    /// Monotonic id for in-service requests, so a fault instant can
-    /// neutralize their already-scheduled completion events.
-    std::uint64_t next_serial{0};
-    std::unordered_set<std::uint64_t> killed;
     struct ScheduledFault {
-        double at{0.0};
-        fault::FaultKind kind{fault::FaultKind::kEngineFail};
-        bool inverse{false}; ///< auto-generated end of a `duration` window
-        int link{-1};        ///< 0 = interface, 1 = memory, -1 = vertex
+        fault::FaultStep step;
+        int link{-1}; ///< 0 = interface, 1 = memory, -1 = vertex
         VertexId v{0};
-        std::uint32_t count{1};
-        double factor{1.0};
-        double probability{1.0};
-        std::uint32_t capacity{1};
-        std::string label; ///< "<kind>[/end]:<target>" for the trace
     };
     std::vector<ScheduledFault> scheduled_faults;
     obs::TrackId fault_track{0};
-    std::uint64_t fault_events_applied{0};
 
     // --- tracing (inert when trace.sink is null) ----------------------------
     const obs::TraceOptions trace_opts;
@@ -197,7 +178,7 @@ struct NicSimulator::Impl {
 
     // --- static per-vertex/per-class tables ---------------------------------
 
-    struct VertexState {
+    struct VertexState : Station {
         // Static:
         std::uint32_t engines{1};
         std::uint32_t capacity{1};
@@ -215,13 +196,6 @@ struct NicSimulator::Impl {
         std::size_t rr_cursor{0};
         /// Queue index for each in-edge id (all 0 for the shared FIFO).
         std::vector<std::pair<EdgeId, std::size_t>> queue_of_edge;
-        std::uint32_t busy{0};
-        // Dynamic fault state (defaults = healthy; untouched when the
-        // plan is empty, so the fault-free fast path is unchanged):
-        std::uint32_t engines_offline{0};
-        double slow_factor{1.0};       ///< service-time multiplier (>= 1)
-        double drop_prob{0.0};         ///< active drop-burst probability
-        std::uint32_t capacity_override{0}; ///< 0 = use static capacity
         /// In-service requests, tracked only while a fault plan is active
         /// so a fail-stop can requeue/drop them (swap-removed: order is
         /// arbitrary but deterministic).
@@ -232,17 +206,6 @@ struct NicSimulator::Impl {
             std::size_t slot{0};
         };
         std::vector<InService> in_service;
-
-        std::uint32_t available() const
-        {
-            return engines_offline >= engines ? 0u : engines - engines_offline;
-        }
-        // Measurement (accumulated after warmup):
-        double area_busy{0.0};     ///< integral of busy engines over time
-        double area_occupancy{0.0}; ///< integral of (queue + busy)
-        SimTime last_change{0.0};
-        std::uint64_t served{0};
-        std::uint64_t vertex_dropped{0};
     };
     std::vector<VertexState> vertices;
 
@@ -298,11 +261,7 @@ struct NicSimulator::Impl {
     Impl(const HardwareModel& hw_in, const ExecutionGraph& graph_in,
          const TrafficProfile& traffic_in, SimOptions options_in)
         : hw(hw_in), graph(graph_in), traffic(traffic_in),
-          options(options_in), rng(options_in.seed),
-          warmup_end(options_in.duration * options_in.warmup_fraction),
-          latencies(warmup_end), delivered(warmup_end),
-          offered_in_window(warmup_end, options_in.duration),
-          drops_in_window(warmup_end, options_in.duration),
+          options(options_in), ledger(options_in),
           faults_active(!options_in.faults.empty()),
           trace_opts(options_in.trace)
     {
@@ -319,8 +278,8 @@ struct NicSimulator::Impl {
 
         build_vertex_tables();
         build_arrival_tables();
-        if (faults_active)
-            resolve_faults();
+        scheduled_faults =
+            schedule_plan(options.faults, options.duration, *this);
         if (trace_opts.sink != nullptr)
             register_tracks();
 
@@ -424,64 +383,35 @@ struct NicSimulator::Impl {
         // construction, before any tables are built.
     }
 
-    /**
-     * Resolve every fault target to a vertex or shared link and expand
-     * `duration` windows into (apply, inverse) pairs clipped to the run.
-     * Unknown or unusable targets throw here, at construction — a typo in
-     * a plan should not surface as a silent no-op mid-campaign.
-     */
-    void
-    resolve_faults()
+    /// The vertex or shared link a fault names; throws on unknown or
+    /// unusable targets (see schedule_plan).
+    ScheduledFault
+    resolve(fault::FaultKind kind, const std::string& target) const
     {
-        for (const fault::FaultEvent& ev : options.faults.sorted()) {
-            ScheduledFault f;
-            f.at = ev.at;
-            f.kind = ev.kind;
-            f.count = ev.count;
-            f.factor = ev.factor;
-            f.probability = ev.probability;
-            f.capacity = ev.capacity;
-            f.label = std::string(fault::to_string(ev.kind)) + ":" + ev.target;
-            if (ev.kind == fault::FaultKind::kLinkDegrade) {
-                if (ev.target == "interface") {
-                    f.link = 0;
-                } else if (ev.target == "memory") {
-                    f.link = 1;
-                } else {
-                    throw std::invalid_argument(
-                        "NicSimulator: link_degrade target '" + ev.target
-                        + "' must be 'interface' or 'memory'");
-                }
-            } else {
-                const auto vid = graph.find_vertex(ev.target);
-                if (!vid)
-                    throw std::invalid_argument(
-                        "NicSimulator: fault target '" + ev.target
-                        + "' is not a vertex of graph '" + graph.name()
-                        + "'");
-                if (vertices[*vid].passthrough)
-                    throw std::invalid_argument(
-                        "NicSimulator: fault target '" + ev.target
-                        + "' is an ingress/egress engine; only IP and "
-                          "rate-limiter vertices can fault");
-                f.v = *vid;
-            }
-            if (f.at > options.duration)
-                continue;
-            scheduled_faults.push_back(f);
-            if (ev.duration > 0.0 && ev.at + ev.duration <= options.duration) {
-                ScheduledFault inv = f;
-                inv.at = ev.at + ev.duration;
-                inv.inverse = true;
-                inv.label = std::string(fault::to_string(ev.kind)) + "/end:"
-                    + ev.target;
-                scheduled_faults.push_back(inv);
-            }
+        ScheduledFault f;
+        if (kind == fault::FaultKind::kLinkDegrade) {
+            if (target == "interface")
+                f.link = 0;
+            else if (target == "memory")
+                f.link = 1;
+            else
+                throw std::invalid_argument(
+                    "NicSimulator: link_degrade target '" + target
+                    + "' must be 'interface' or 'memory'");
+            return f;
         }
-        std::stable_sort(scheduled_faults.begin(), scheduled_faults.end(),
-                         [](const ScheduledFault& a, const ScheduledFault& b) {
-                             return a.at < b.at;
-                         });
+        const auto vid = graph.find_vertex(target);
+        if (!vid)
+            throw std::invalid_argument(
+                "NicSimulator: fault target '" + target
+                + "' is not a vertex of graph '" + graph.name() + "'");
+        if (vertices[*vid].passthrough)
+            throw std::invalid_argument(
+                "NicSimulator: fault target '" + target
+                + "' is an ingress/egress engine; only IP and "
+                  "rate-limiter vertices can fault");
+        f.v = *vid;
+        return f;
     }
 
     /// Schedule the resolved plan. Faults scheduled before the first
@@ -491,8 +421,8 @@ struct NicSimulator::Impl {
     schedule_faults()
     {
         for (const ScheduledFault& f : scheduled_faults) {
-            const std::uint64_t seq =
-                events.schedule_at(f.at, [this, &f] { apply_fault(f); });
+            const std::uint64_t seq = ledger.events.schedule_at(
+                f.step.at, [this, &f] { apply_fault(f); });
             if (ckpt_track)
                 fault_seqs.push_back(seq);
         }
@@ -501,38 +431,18 @@ struct NicSimulator::Impl {
     void
     apply_fault(const ScheduledFault& f)
     {
-        ++fault_events_applied;
+        ++ledger.fault_events_applied;
         if (trace_opts.sink != nullptr)
-            trace_opts.sink->instant(fault_track, f.label,
-                                     Seconds{events.now()});
-        switch (f.kind) {
-          case fault::FaultKind::kLinkDegrade: {
-            LinkServer& link = f.link == 0 ? interface_link : memory_link;
-            link.factor = f.inverse ? 1.0 : f.factor;
-            break;
-          }
-          case fault::FaultKind::kEngineFail:
-            if (f.inverse)
-                recover_engines(f.v, f.count);
-            else
-                fail_engines(f.v, f.count);
-            break;
-          case fault::FaultKind::kEngineRecover:
-            if (f.inverse)
-                fail_engines(f.v, f.count);
-            else
-                recover_engines(f.v, f.count);
-            break;
-          case fault::FaultKind::kSlowdown:
-            vertices[f.v].slow_factor = f.inverse ? 1.0 : f.factor;
-            break;
-          case fault::FaultKind::kDropBurst:
-            vertices[f.v].drop_prob = f.inverse ? 0.0 : f.probability;
-            break;
-          case fault::FaultKind::kQueueCapacity:
-            vertices[f.v].capacity_override = f.inverse ? 0 : f.capacity;
-            break;
-        }
+            trace_opts.sink->instant(fault_track, f.step.label,
+                                     Seconds{ledger.events.now()});
+        if (f.link >= 0)
+            (f.link == 0 ? interface_link : memory_link).factor = f.step.value;
+        else if (f.step.engines > 0)
+            fail_engines(f.v, static_cast<std::uint32_t>(f.step.engines));
+        else if (f.step.engines < 0)
+            recover_engines(f.v, static_cast<std::uint32_t>(-f.step.engines));
+        else
+            vertices[f.v].set(f.step);
     }
 
     /**
@@ -549,10 +459,10 @@ struct NicSimulator::Impl {
         VertexState& st = vertices[v];
         touch(st);
         st.engines_offline = std::min(st.engines, st.engines_offline + count);
-        while (st.busy > st.available()) {
+        while (st.busy > st.available(st.engines)) {
             const VertexState::InService victim = st.in_service.back();
             st.in_service.pop_back();
-            killed.insert(victim.serial);
+            ledger.killed.insert(victim.serial);
             if (ckpt_track) {
                 // The victim's completion event stays in the calendar as a
                 // stale no-op; remember its (when, seq) so a restored run
@@ -567,7 +477,7 @@ struct NicSimulator::Impl {
                 tracks[v].slot_busy[victim.slot] = 0;
             if (options.faults.in_service_policy
                 == fault::InServicePolicy::kRequeue) {
-                victim.pkt->enqueued = events.now();
+                victim.pkt->enqueued = ledger.events.now();
                 st.queues[victim.qi].push_front(victim.pkt);
             } else {
                 drop(victim.pkt, v, st, kDropEngineFail);
@@ -626,7 +536,7 @@ struct NicSimulator::Impl {
     {
         if (trace_opts.sink == nullptr || !trace_opts.counters)
             return;
-        const Seconds now{events.now()};
+        const Seconds now{ledger.events.now()};
         const VertexTracks& vt = tracks[v];
         trace_opts.sink->counter(vt.queue, "queue_depth", now,
                                  static_cast<double>(queued_total(st)));
@@ -657,22 +567,12 @@ struct NicSimulator::Impl {
     void
     touch(VertexState& st)
     {
-        const SimTime now = events.now();
-        if (now <= warmup_end) {
-            st.last_change = warmup_end;
-            return;
-        }
-        const SimTime from = std::max(st.last_change, warmup_end);
-        const double dt = now - from;
+        const double dt = ledger.window_dt(st.last_change);
         if (dt > 0.0) {
-            std::size_t queued = 0;
-            for (const auto& q : st.queues)
-                queued += q.size();
             st.area_busy += dt * static_cast<double>(st.busy);
-            st.area_occupancy += dt
-                * static_cast<double>(st.busy + queued);
+            st.area_occupancy +=
+                dt * static_cast<double>(st.busy + queued_total(st));
         }
-        st.last_change = now;
     }
 
     void
@@ -685,14 +585,15 @@ struct NicSimulator::Impl {
             ? total_pps * options.burst.intensity
             : total_pps;
         const double gap = options.poisson_arrivals
-            ? rng.exponential(1.0 / peak)
+            ? ledger.rng.exponential(1.0 / peak)
             : 1.0 / total_pps;
         const std::uint64_t seq =
-            events.schedule_in(gap, [this, peak] { arrival_event(peak); });
+            ledger.events.schedule_in(gap,
+                                      [this, peak] { arrival_event(peak); });
         if (ckpt_track) {
             arrival_pending = true;
             arrival_peak = peak;
-            arrival_when = events.now() + gap;
+            arrival_when = ledger.events.now() + gap;
             arrival_seq = seq;
         }
     }
@@ -705,11 +606,11 @@ struct NicSimulator::Impl {
     {
         if (ckpt_track)
             arrival_pending = false;
-        if (events.now() >= options.duration)
+        if (ledger.events.now() >= options.duration)
             return;
         if (options.burst.enabled
-            && rng.uniform()
-                > rate_multiplier(events.now()) * total_pps / peak) {
+            && ledger.rng.uniform()
+                > rate_multiplier(ledger.events.now()) * total_pps / peak) {
             schedule_next_arrival(); // thinned out
             return;
         }
@@ -719,23 +620,21 @@ struct NicSimulator::Impl {
                 trace_class[trace_pos % trace_class.size()];
             ++trace_pos;
         } else {
-            pkt->class_index = rng.weighted_index(class_pps_weight);
+            pkt->class_index = ledger.rng.weighted_index(class_pps_weight);
         }
         pkt->app_size = traffic.classes()[pkt->class_index].size;
-        pkt->created = events.now();
-        pkt->id = generated;
+        pkt->created = ledger.events.now();
+        pkt->id = ledger.arrive();
         pkt->traced = trace_opts.sampled(pkt->id);
-        ++generated;
         if (ckpt_track) {
             pkt->pending_kind = 0; // slab slots recycle; reset stale state
             live_packets.emplace(pkt->id, pkt);
         }
-        offered_in_window.record(events.now());
         if (pkt->traced)
             trace_opts.sink->async_begin(pkt->id, "pkt",
-                                         Seconds{events.now()});
+                                         Seconds{pkt->created});
         const std::size_t which = ingresses.size() > 1
-            ? rng.weighted_index(ingress_weights)
+            ? ledger.rng.weighted_index(ingress_weights)
             : 0;
         depart(pkt, ingresses[which]);
         schedule_next_arrival();
@@ -748,22 +647,16 @@ struct NicSimulator::Impl {
     {
         VertexState& st = vertices[v];
         if (st.out.empty()) { // egress
-            ++completed_total;
-            latencies.record(events.now(),
-                             Seconds{events.now() - pkt->created});
-            delivered.record(events.now(), pkt->app_size);
-            if (events.now() > warmup_end)
-                latency_hist.record(
-                    Seconds{events.now() - pkt->created}.micros());
+            ledger.deliver(pkt->created, pkt->app_size);
             if (pkt->traced)
                 trace_opts.sink->async_end(pkt->id, "pkt",
-                                           Seconds{events.now()});
+                                           Seconds{ledger.events.now()});
             if (ckpt_track)
                 live_packets.erase(pkt->id);
             packet_slab.release(pkt);
             return;
         }
-        ++in_transit; // leaves v; in an overhead delay or link transfer
+        ++ledger.in_transit; // leaves v; in an overhead delay or link transfer
         // Pick the outgoing edge by delta weights.
         std::size_t pick = 0;
         if (st.out.size() > 1) {
@@ -771,10 +664,10 @@ struct NicSimulator::Impl {
             for (double w : st.out_weights)
                 wsum += w;
             pick = wsum > 0.0
-                ? rng.weighted_index(st.out_weights)
-                : static_cast<std::size_t>(rng.uniform()
-                                           * static_cast<double>(
-                                               st.out.size()));
+                ? ledger.rng.weighted_index(st.out_weights)
+                : static_cast<std::size_t>(
+                      ledger.rng.uniform()
+                      * static_cast<double>(st.out.size()));
             pick = std::min(pick, st.out.size() - 1);
         }
         const EdgeId eid = st.out[pick];
@@ -784,14 +677,14 @@ struct NicSimulator::Impl {
         // link for a future instant would block other packets' transfers
         // for the whole overhead duration.
         const std::uint64_t seq =
-            events.schedule_in(st.overhead.seconds(), [this, pkt, eid] {
+            ledger.events.schedule_in(st.overhead.seconds(), [this, pkt, eid] {
                 transfer_stage(pkt, eid, 0);
             });
         if (ckpt_track) {
             pkt->pending_kind = 1;
             pkt->pending_stage = 0;
             pkt->pending_edge = eid;
-            pkt->pending_when = events.now() + st.overhead.seconds();
+            pkt->pending_when = ledger.events.now() + st.overhead.seconds();
             pkt->pending_seq = seq;
         }
     }
@@ -817,9 +710,9 @@ struct NicSimulator::Impl {
                 payload = Bytes{g_in.bytes() * e.params.delta};
             }
             if (link != nullptr) {
-                const SimTime end = link->occupy(events.now(), payload);
+                const SimTime end = link->occupy(ledger.events.now(), payload);
                 const std::uint64_t seq =
-                    events.schedule_at(end, [this, pkt, eid, stage] {
+                    ledger.events.schedule_at(end, [this, pkt, eid, stage] {
                         transfer_stage(pkt, eid, stage + 1);
                     });
                 if (ckpt_track) {
@@ -842,16 +735,12 @@ struct NicSimulator::Impl {
     void
     drop(Packet* pkt, VertexId v, VertexState& st, DropCause cause)
     {
-        ++dropped_cause[cause];
-        drops_in_window.record(events.now());
-        if (events.now() > warmup_end)
-            ++st.vertex_dropped;
+        ledger.drop(cause, st);
         if (trace_opts.sink != nullptr) {
-            trace_opts.sink->instant(tracks[v].queue, "drop",
-                                     Seconds{events.now()});
+            const Seconds now{ledger.events.now()};
+            trace_opts.sink->instant(tracks[v].queue, "drop", now);
             if (pkt->traced)
-                trace_opts.sink->async_end(pkt->id, "pkt",
-                                           Seconds{events.now()});
+                trace_opts.sink->async_end(pkt->id, "pkt", now);
         }
         if (ckpt_track)
             live_packets.erase(pkt->id);
@@ -861,14 +750,15 @@ struct NicSimulator::Impl {
     void
     arrive(Packet* pkt, VertexId v, EdgeId via)
     {
-        --in_transit; // the inter-vertex hop that started in depart() ended
+        // The inter-vertex hop that started in depart() ended.
+        --ledger.in_transit;
         VertexState& st = vertices[v];
         if (st.passthrough) {
             depart(pkt, v);
             return;
         }
         if (faults_active && st.drop_prob > 0.0
-            && rng.uniform() < st.drop_prob) {
+            && ledger.rng.uniform() < st.drop_prob) {
             drop(pkt, v, st, kDropBurstLoss);
             return;
         }
@@ -903,7 +793,7 @@ struct NicSimulator::Impl {
             }
         }
         touch(st);
-        pkt->enqueued = events.now();
+        pkt->enqueued = ledger.events.now();
         if (ckpt_track)
             pkt->pending_kind = 0; // the transfer event just fired; queued
         st.queues[qi].push_back(pkt);
@@ -928,7 +818,8 @@ struct NicSimulator::Impl {
             return nullptr;
         };
         std::deque<Packet*>* queue = nullptr;
-        while (st.busy < st.available() && (queue = next_queue()) != nullptr) {
+        while (st.busy < st.available(st.engines)
+               && (queue = next_queue()) != nullptr) {
             touch(st);
             Packet* pkt = queue->front();
             queue->pop_front();
@@ -940,13 +831,13 @@ struct NicSimulator::Impl {
             // exponential_service = false forces determinism everywhere;
             // otherwise each IP's own variability (SCV) governs.
             const double service = options.exponential_service
-                ? rng.with_scv(mean, st.service_scv)
+                ? ledger.rng.with_scv(mean, st.service_scv)
                 : mean;
             std::size_t slot = 0;
             if (pkt->traced) {
                 trace_opts.sink->span(
                     tracks[v].queue, "wait", Seconds{pkt->enqueued},
-                    Seconds{events.now() - pkt->enqueued});
+                    Seconds{ledger.events.now() - pkt->enqueued});
                 // Lowest free engine lane; traced in-service packets never
                 // exceed the engine count, so a lane is always free.
                 auto& lanes = tracks[v].slot_busy;
@@ -956,14 +847,14 @@ struct NicSimulator::Impl {
             }
             std::uint64_t serial = 0;
             if (faults_active) {
-                serial = next_serial++;
+                serial = ledger.next_serial++;
                 const auto qi =
                     static_cast<std::size_t>(queue - st.queues.data());
                 st.in_service.push_back({serial, pkt, qi, slot});
             }
             trace_counters(v, st);
-            const SimTime start = events.now();
-            const std::uint64_t seq = events.schedule_in(
+            const SimTime start = ledger.events.now();
+            const std::uint64_t seq = ledger.events.schedule_in(
                 service, [this, pkt, v, slot, start, service, serial] {
                     complete_service(pkt, v, slot, start, service, serial);
                 });
@@ -987,24 +878,10 @@ struct NicSimulator::Impl {
     complete_service(Packet* pkt, VertexId v, std::size_t slot, SimTime start,
                      SimTime service, std::uint64_t serial)
     {
-        if (faults_active) {
-            // An engine failure may have aborted this request after its
-            // completion was scheduled; the fault instant already
-            // requeued/dropped it and fixed the busy count, so the stale
-            // event must do nothing.
-            if (killed.erase(serial) > 0) {
-                if (ckpt_track)
-                    erase_stale(serial);
-                return;
-            }
-            auto& isv = vertices[v].in_service;
-            for (std::size_t i = 0; i < isv.size(); ++i) {
-                if (isv[i].serial == serial) {
-                    isv[i] = std::move(isv.back());
-                    isv.pop_back();
-                    break;
-                }
-            }
+        if (faults_active && !ledger.retire(vertices[v].in_service, serial)) {
+            if (ckpt_track)
+                erase_stale(serial);
+            return;
         }
         VertexState& s2 = vertices[v];
         touch(s2);
@@ -1061,116 +938,25 @@ struct NicSimulator::Impl {
     SimResult
     finalize_result(RunOutcome outcome)
     {
-        // When truncated, the clock stopped short of the horizon; every
-        // rate below normalizes to the time actually simulated.
-        const SimTime end = events.now();
-
-        SimResult r;
-        r.truncated = outcome == RunOutcome::kEventBudget
-            || outcome == RunOutcome::kAborted;
-        if (outcome == RunOutcome::kEventBudget)
-            r.truncation_reason = "event_budget";
-        else if (outcome == RunOutcome::kAborted)
-            r.truncation_reason = "wall_clock";
-        r.sim_time_reached = end;
-        r.events_executed = events.executed();
-        r.delivered = delivered.bandwidth(end);
-        r.delivered_ops = delivered.rate(end);
-        // The single-writer phase is over: seal the recorder (one sort),
-        // after which quantile reads are const and thread-safe.
-        latencies.seal();
-        // Empty-set sentinel: a run that completed nothing after warmup
-        // keeps 0.0 latencies; consumers must gate on `completed` (the
-        // runner's Replicator counts such runs as degenerate and excludes
-        // them).
-        r.mean_latency = latencies.mean().value_or(Seconds{0.0});
-        r.p50_latency = latencies.p50().value_or(Seconds{0.0});
-        r.p99_latency = latencies.p99().value_or(Seconds{0.0});
-        r.generated = generated;
-        r.completed = delivered.requests();
-        // Drop accounting follows the (warmup_end, horizon] measurement
-        // window, the same convention completions use: the rate is
-        // windowed drops over windowed arrivals, an unbiased
-        // blocking-probability estimate even at short horizons.
-        const std::uint64_t offered = offered_in_window.count();
-        r.dropped = drops_in_window.count();
-        r.drop_rate = offered > 0
-            ? static_cast<double>(r.dropped) / static_cast<double>(offered)
-            : 0.0;
-
         // Close out the per-vertex accounting at the (possibly truncated)
         // end.
-        const double window = end - warmup_end;
         std::uint64_t queued_or_busy = 0;
+        std::vector<VertexStats> stats;
         for (core::VertexId v = 0; v < graph.vertex_count(); ++v) {
             auto& st = vertices[v];
             if (st.passthrough)
                 continue;
             touch(st);
             queued_or_busy += queued_total(st) + st.busy;
-            VertexStats vs;
-            vs.name = graph.vertex(v).name;
-            if (window > 0.0) {
-                vs.utilization = st.area_busy
-                    / (window * static_cast<double>(st.engines));
-                vs.mean_occupancy = st.area_occupancy / window;
-            }
-            vs.served = st.served;
-            vs.dropped = st.vertex_dropped;
-            r.vertex_stats.push_back(std::move(vs));
+            stats.push_back(
+                ledger.measure(graph.vertex(v).name, st, st.engines));
         }
-
-        // Packet conservation: every generated packet must be delivered,
-        // dropped, or still inside the device. A violation is a simulator
-        // bug (double-count or leak), never a property of the scenario —
-        // fail loud.
-        r.completed_total = completed_total;
-        r.dropped_total = dropped_cause[kDropOverflow]
-            + dropped_cause[kDropBurstLoss]
-            + dropped_cause[kDropEngineFail];
-        r.in_flight = in_transit + queued_or_busy;
-        if (r.generated != r.completed_total + r.dropped_total + r.in_flight)
-            throw std::logic_error(
-                "NicSimulator: packet conservation violated: generated="
-                + std::to_string(r.generated) + " != completed="
-                + std::to_string(r.completed_total) + " + dropped="
-                + std::to_string(r.dropped_total) + " + in_flight="
-                + std::to_string(r.in_flight));
-
-        // Publish the structured snapshot mirroring (and extending) the
-        // scalar fields; this is what the runner aggregates.
         obs::MetricsRegistry reg;
-        reg.counter("sim.generated").add(r.generated);
-        reg.counter("sim.offered").add(offered);
-        reg.counter("sim.completed").add(r.completed);
-        reg.counter("sim.dropped").add(r.dropped);
-        reg.counter("sim.completed_total").add(r.completed_total);
-        reg.counter("sim.dropped_total").add(r.dropped_total);
-        reg.counter("sim.dropped_by_cause.overflow")
-            .add(dropped_cause[kDropOverflow]);
-        reg.counter("sim.dropped_by_cause.burst")
-            .add(dropped_cause[kDropBurstLoss]);
-        reg.counter("sim.dropped_by_cause.engine_fail")
-            .add(dropped_cause[kDropEngineFail]);
-        reg.counter("sim.in_flight").add(r.in_flight);
-        reg.counter("sim.fault_events").add(fault_events_applied);
-        reg.counter("sim.events_executed").add(r.events_executed);
-        reg.gauge("sim.truncated").set(r.truncated ? 1.0 : 0.0);
-        reg.gauge("sim.delivered_gbps").set(r.delivered.gbps());
-        reg.gauge("sim.delivered_mops").set(r.delivered_ops.mops());
-        reg.gauge("sim.drop_rate").set(r.drop_rate);
-        reg.gauge("sim.mean_latency_us").set(r.mean_latency.micros());
-        reg.gauge("sim.p50_latency_us").set(r.p50_latency.micros());
-        reg.gauge("sim.p99_latency_us").set(r.p99_latency.micros());
-        reg.histogram("sim.latency_us", latency_bounds_us()) = latency_hist;
-        for (const VertexStats& vs : r.vertex_stats) {
-            reg.counter("vertex." + vs.name + ".served").add(vs.served);
-            reg.counter("vertex." + vs.name + ".dropped").add(vs.dropped);
-            reg.gauge("vertex." + vs.name + ".utilization")
-                .set(vs.utilization);
+        SimResult r = ledger.finish(outcome, std::move(stats), queued_or_busy,
+                                    "NicSimulator", "vertex", reg);
+        for (const VertexStats& vs : r.vertex_stats)
             reg.gauge("vertex." + vs.name + ".occupancy")
                 .set(vs.mean_occupancy);
-        }
         r.metrics = reg.snapshot();
         return r;
     }
@@ -1184,19 +970,16 @@ struct NicSimulator::Impl {
     config_fingerprint() const
     {
         io::JsonObject fp;
-        fp["seed"] = io::Json(io::u64_to_hex(options.seed));
-        fp["duration"] = io::Json(io::double_to_hex(options.duration));
-        fp["warmup_fraction"] =
-            io::Json(io::double_to_hex(options.warmup_fraction));
+        fp["seed"] = hex_u(options.seed);
+        fp["duration"] = hex_d(options.duration);
+        fp["warmup_fraction"] = hex_d(options.warmup_fraction);
         fp["exponential_service"] = io::Json(options.exponential_service);
         fp["poisson_arrivals"] = io::Json(options.poisson_arrivals);
         fp["burst"] = io::Json(options.burst.enabled);
-        fp["vertices"] = io::Json(static_cast<double>(graph.vertex_count()));
-        fp["edges"] = io::Json(static_cast<double>(graph.edge_count()));
-        fp["classes"] =
-            io::Json(static_cast<double>(traffic.classes().size()));
-        fp["faults"] =
-            io::Json(static_cast<double>(scheduled_faults.size()));
+        fp["vertices"] = num(graph.vertex_count());
+        fp["edges"] = num(graph.edge_count());
+        fp["classes"] = num(traffic.classes().size());
+        fp["faults"] = num(scheduled_faults.size());
         return io::Json(std::move(fp));
     }
 
@@ -1204,22 +987,21 @@ struct NicSimulator::Impl {
     packet_to_json(const Packet& p) const
     {
         io::JsonObject o;
-        o["id"] = io::Json(io::u64_to_hex(p.id));
-        o["class"] = io::Json(static_cast<double>(p.class_index));
-        o["size"] = io::Json(io::double_to_hex(p.app_size.bytes()));
-        o["created"] = io::Json(io::double_to_hex(p.created));
-        o["enqueued"] = io::Json(io::double_to_hex(p.enqueued));
-        o["pending_kind"] = io::Json(static_cast<double>(p.pending_kind));
-        o["pending_stage"] = io::Json(static_cast<double>(p.pending_stage));
-        o["pending_edge"] = io::Json(static_cast<double>(p.pending_edge));
-        o["pending_vertex"] =
-            io::Json(static_cast<double>(p.pending_vertex));
-        o["pending_slot"] = io::Json(static_cast<double>(p.pending_slot));
-        o["pending_when"] = io::Json(io::double_to_hex(p.pending_when));
-        o["pending_seq"] = io::Json(io::u64_to_hex(p.pending_seq));
-        o["service_start"] = io::Json(io::double_to_hex(p.service_start));
-        o["service_time"] = io::Json(io::double_to_hex(p.service_time));
-        o["serial"] = io::Json(io::u64_to_hex(p.serial));
+        o["id"] = hex_u(p.id);
+        o["class"] = num(p.class_index);
+        o["size"] = hex_d(p.app_size.bytes());
+        o["created"] = hex_d(p.created);
+        o["enqueued"] = hex_d(p.enqueued);
+        o["pending_kind"] = num(p.pending_kind);
+        o["pending_stage"] = num(p.pending_stage);
+        o["pending_edge"] = num(p.pending_edge);
+        o["pending_vertex"] = num(p.pending_vertex);
+        o["pending_slot"] = num(p.pending_slot);
+        o["pending_when"] = hex_d(p.pending_when);
+        o["pending_seq"] = hex_u(p.pending_seq);
+        o["service_start"] = hex_d(p.service_start);
+        o["service_time"] = hex_d(p.service_time);
+        o["serial"] = hex_u(p.serial);
         return io::Json(std::move(o));
     }
 
@@ -1227,8 +1009,8 @@ struct NicSimulator::Impl {
     link_to_json(const LinkServer& l)
     {
         io::JsonObject o;
-        o["free_at"] = io::Json(io::double_to_hex(l.free_at));
-        o["factor"] = io::Json(io::double_to_hex(l.factor));
+        o["free_at"] = hex_d(l.free_at);
+        o["factor"] = hex_d(l.factor);
         return io::Json(std::move(o));
     }
 
@@ -1243,146 +1025,97 @@ struct NicSimulator::Impl {
                 "NicSimulator::save_state: already finalized");
         io::JsonObject o;
         o["config"] = config_fingerprint();
-        o["now"] = io::Json(io::double_to_hex(events.now()));
-        o["next_seq"] = io::Json(io::u64_to_hex(events.next_seq()));
-        o["executed"] = io::Json(io::u64_to_hex(events.executed()));
-        o["rng"] = io::Json(rng.save_state());
-        o["generated"] = io::Json(io::u64_to_hex(generated));
-        o["completed_total"] = io::Json(io::u64_to_hex(completed_total));
+        o["now"] = hex_d(ledger.events.now());
+        o["next_seq"] = hex_u(ledger.events.next_seq());
+        o["executed"] = hex_u(ledger.events.executed());
+        o["rng"] = io::Json(ledger.rng.save_state());
+        o["generated"] = hex_u(ledger.generated);
+        o["completed_total"] = hex_u(ledger.completed_total);
+        o["dropped_cause"] = json_array(ledger.dropped_cause, hex_u);
+        o["in_transit"] = hex_u(ledger.in_transit);
+        o["next_serial"] = hex_u(ledger.next_serial);
+        o["fault_events_applied"] = hex_u(ledger.fault_events_applied);
         {
-            io::JsonArray dc;
-            for (int i = 0; i < 3; ++i)
-                dc.push_back(io::Json(io::u64_to_hex(dropped_cause[i])));
-            o["dropped_cause"] = io::Json(std::move(dc));
-        }
-        o["in_transit"] = io::Json(io::u64_to_hex(in_transit));
-        o["next_serial"] = io::Json(io::u64_to_hex(next_serial));
-        o["fault_events_applied"] =
-            io::Json(io::u64_to_hex(fault_events_applied));
-        {
-            std::vector<std::uint64_t> ks(killed.begin(), killed.end());
+            std::vector<std::uint64_t> ks(ledger.killed.begin(),
+                                          ledger.killed.end());
             std::sort(ks.begin(), ks.end());
-            io::JsonArray arr;
-            for (std::uint64_t k : ks)
-                arr.push_back(io::Json(io::u64_to_hex(k)));
-            o["killed"] = io::Json(std::move(arr));
+            o["killed"] = json_array(ks, hex_u);
         }
-        {
-            io::JsonArray arr;
-            for (std::uint64_t s : fault_seqs)
-                arr.push_back(io::Json(io::u64_to_hex(s)));
-            o["fault_seqs"] = io::Json(std::move(arr));
-        }
+        o["fault_seqs"] = json_array(fault_seqs, hex_u);
         {
             std::vector<StaleEvent> stale = stale_events;
             std::sort(stale.begin(), stale.end(),
                       [](const StaleEvent& a, const StaleEvent& b) {
                           return a.seq < b.seq;
                       });
-            io::JsonArray arr;
-            for (const StaleEvent& ev : stale) {
+            o["stale"] = json_array(stale, [](const StaleEvent& ev) {
                 io::JsonObject so;
-                so["when"] = io::Json(io::double_to_hex(ev.when));
-                so["seq"] = io::Json(io::u64_to_hex(ev.seq));
-                so["serial"] = io::Json(io::u64_to_hex(ev.serial));
-                arr.push_back(io::Json(std::move(so)));
-            }
-            o["stale"] = io::Json(std::move(arr));
+                so["when"] = hex_d(ev.when);
+                so["seq"] = hex_u(ev.seq);
+                so["serial"] = hex_u(ev.serial);
+                return io::Json(std::move(so));
+            });
         }
         {
             io::JsonObject a;
             a["pending"] = io::Json(arrival_pending);
-            a["peak"] = io::Json(io::double_to_hex(arrival_peak));
-            a["when"] = io::Json(io::double_to_hex(arrival_when));
-            a["seq"] = io::Json(io::u64_to_hex(arrival_seq));
+            a["peak"] = hex_d(arrival_peak);
+            a["when"] = hex_d(arrival_when);
+            a["seq"] = hex_u(arrival_seq);
             o["arrival"] = io::Json(std::move(a));
         }
-        {
-            io::JsonArray arr;
-            for (const auto& [id, pkt] : live_packets)
-                arr.push_back(packet_to_json(*pkt));
-            o["packets"] = io::Json(std::move(arr));
-        }
+        o["packets"] = json_array(live_packets, [this](const auto& entry) {
+            return packet_to_json(*entry.second);
+        });
         o["interface_link"] = link_to_json(interface_link);
         o["memory_link"] = link_to_json(memory_link);
-        {
-            io::JsonArray arr;
-            for (const LinkServer& l : dedicated_links)
-                arr.push_back(link_to_json(l));
-            o["dedicated_links"] = io::Json(std::move(arr));
-        }
+        o["dedicated_links"] = json_array(dedicated_links, link_to_json);
         {
             io::JsonArray arr;
             for (const VertexState& st : vertices) {
                 io::JsonObject vo;
-                vo["busy"] = io::Json(static_cast<double>(st.busy));
-                vo["engines_offline"] =
-                    io::Json(static_cast<double>(st.engines_offline));
-                vo["slow_factor"] =
-                    io::Json(io::double_to_hex(st.slow_factor));
-                vo["drop_prob"] = io::Json(io::double_to_hex(st.drop_prob));
-                vo["capacity_override"] =
-                    io::Json(static_cast<double>(st.capacity_override));
-                vo["rr_cursor"] =
-                    io::Json(static_cast<double>(st.rr_cursor));
-                {
-                    io::JsonArray queues;
-                    for (const auto& q : st.queues) {
-                        io::JsonArray ids;
-                        for (const Packet* p : q)
-                            ids.push_back(io::Json(io::u64_to_hex(p->id)));
-                        queues.push_back(io::Json(std::move(ids)));
-                    }
-                    vo["queues"] = io::Json(std::move(queues));
-                }
-                {
-                    io::JsonArray isv;
-                    for (const VertexState::InService& e : st.in_service) {
+                vo["busy"] = num(st.busy);
+                vo["engines_offline"] = num(st.engines_offline);
+                vo["slow_factor"] = hex_d(st.slow_factor);
+                vo["drop_prob"] = hex_d(st.drop_prob);
+                vo["capacity_override"] = num(st.capacity_override);
+                vo["rr_cursor"] = num(st.rr_cursor);
+                vo["queues"] = json_array(st.queues, [](const auto& q) {
+                    return json_array(
+                        q, [](const Packet* p) { return hex_u(p->id); });
+                });
+                vo["in_service"] = json_array(
+                    st.in_service, [](const VertexState::InService& e) {
                         io::JsonObject eo;
-                        eo["serial"] = io::Json(io::u64_to_hex(e.serial));
-                        eo["id"] = io::Json(io::u64_to_hex(e.pkt->id));
-                        eo["qi"] = io::Json(static_cast<double>(e.qi));
-                        eo["slot"] = io::Json(static_cast<double>(e.slot));
-                        isv.push_back(io::Json(std::move(eo)));
-                    }
-                    vo["in_service"] = io::Json(std::move(isv));
-                }
-                vo["area_busy"] = io::Json(io::double_to_hex(st.area_busy));
-                vo["area_occupancy"] =
-                    io::Json(io::double_to_hex(st.area_occupancy));
-                vo["last_change"] =
-                    io::Json(io::double_to_hex(st.last_change));
-                vo["served"] = io::Json(io::u64_to_hex(st.served));
-                vo["dropped"] =
-                    io::Json(io::u64_to_hex(st.vertex_dropped));
+                        eo["serial"] = hex_u(e.serial);
+                        eo["id"] = hex_u(e.pkt->id);
+                        eo["qi"] = num(e.qi);
+                        eo["slot"] = num(e.slot);
+                        return io::Json(std::move(eo));
+                    });
+                vo["area_busy"] = hex_d(st.area_busy);
+                vo["area_occupancy"] = hex_d(st.area_occupancy);
+                vo["last_change"] = hex_d(st.last_change);
+                vo["served"] = hex_u(st.served);
+                vo["dropped"] = hex_u(st.dropped);
                 arr.push_back(io::Json(std::move(vo)));
             }
             o["vertices"] = io::Json(std::move(arr));
         }
         {
             io::JsonObject r;
-            {
-                io::JsonArray ls;
-                for (double v : latencies.samples())
-                    ls.push_back(io::Json(io::double_to_hex(v)));
-                r["latency_samples"] = io::Json(std::move(ls));
-            }
-            r["latency_sealed"] = io::Json(latencies.sealed());
-            r["delivered_bytes"] =
-                io::Json(io::double_to_hex(delivered.total().bytes()));
-            r["delivered_requests"] =
-                io::Json(io::u64_to_hex(delivered.requests()));
-            r["offered"] =
-                io::Json(io::u64_to_hex(offered_in_window.count()));
-            r["drops"] = io::Json(io::u64_to_hex(drops_in_window.count()));
+            r["latency_samples"] =
+                json_array(ledger.latencies.samples(), hex_d);
+            r["latency_sealed"] = io::Json(ledger.latencies.sealed());
+            r["delivered_bytes"] = hex_d(ledger.delivered.total().bytes());
+            r["delivered_requests"] = hex_u(ledger.delivered.requests());
+            r["offered"] = hex_u(ledger.offered_in_window.count());
+            r["drops"] = hex_u(ledger.drops_in_window.count());
             {
                 io::JsonObject h;
-                io::JsonArray hc;
-                for (std::uint64_t c : latency_hist.counts())
-                    hc.push_back(io::Json(io::u64_to_hex(c)));
-                h["counts"] = io::Json(std::move(hc));
-                h["total"] = io::Json(io::u64_to_hex(latency_hist.total()));
-                h["sum"] = io::Json(io::double_to_hex(latency_hist.sum()));
+                h["counts"] = json_array(ledger.latency_hist.counts(), hex_u);
+                h["total"] = hex_u(ledger.latency_hist.total());
+                h["sum"] = hex_d(ledger.latency_hist.sum());
                 r["latency_hist"] = io::Json(std::move(h));
             }
             o["recorders"] = io::Json(std::move(r));
@@ -1406,8 +1139,18 @@ struct NicSimulator::Impl {
                 "fingerprint mismatch:\n  simulator " + want
                 + "\n  snapshot  " + have);
 
-        auto hexd = [](const io::Json& v, const char* ctx) {
-            return io::double_from_hex(v.as_string(), ctx);
+        // Field readers: hex doubles, hex counters and plain numbers, with
+        // the key named in any parse error.
+        auto d = [](const io::Json& o, const char* key) {
+            return io::double_from_hex(o.at(key).as_string(),
+                                       std::string("snapshot ") + key);
+        };
+        auto u = [](const io::Json& o, const char* key) {
+            return io::parse_u64(o.at(key).as_string(),
+                                 std::string("snapshot ") + key);
+        };
+        auto n = [](const io::Json& o, const char* key) {
+            return o.at(key).as_number();
         };
         auto hexu = [](const io::Json& v, const char* ctx) {
             return io::parse_u64(v.as_string(), ctx);
@@ -1416,25 +1159,23 @@ struct NicSimulator::Impl {
         ckpt_track = true;
         started = true;
 
-        rng.restore_state(snap.at("rng").as_string());
-        generated = hexu(snap.at("generated"), "snapshot generated");
-        completed_total =
-            hexu(snap.at("completed_total"), "snapshot completed_total");
+        ledger.rng.restore_state(snap.at("rng").as_string());
+        ledger.generated = u(snap, "generated");
+        ledger.completed_total = u(snap, "completed_total");
         {
             const io::JsonArray& dc = snap.at("dropped_cause").as_array();
             if (dc.size() != 3)
                 throw std::runtime_error(
                     "NicSimulator::load_state: malformed dropped_cause");
             for (int i = 0; i < 3; ++i)
-                dropped_cause[i] = hexu(dc[i], "snapshot dropped_cause");
+                ledger.dropped_cause[i] = hexu(dc[i], "snapshot dropped_cause");
         }
-        in_transit = hexu(snap.at("in_transit"), "snapshot in_transit");
-        next_serial = hexu(snap.at("next_serial"), "snapshot next_serial");
-        fault_events_applied = hexu(snap.at("fault_events_applied"),
-                                    "snapshot fault_events_applied");
-        killed.clear();
+        ledger.in_transit = u(snap, "in_transit");
+        ledger.next_serial = u(snap, "next_serial");
+        ledger.fault_events_applied = u(snap, "fault_events_applied");
+        ledger.killed.clear();
         for (const io::Json& k : snap.at("killed").as_array())
-            killed.insert(hexu(k, "snapshot killed serial"));
+            ledger.killed.insert(hexu(k, "snapshot killed serial"));
         fault_seqs.clear();
         for (const io::Json& s : snap.at("fault_seqs").as_array())
             fault_seqs.push_back(hexu(s, "snapshot fault seq"));
@@ -1443,19 +1184,15 @@ struct NicSimulator::Impl {
                 "NicSimulator::load_state: snapshot fault_seqs count does "
                 "not match the resolved fault schedule");
         stale_events.clear();
-        for (const io::Json& ev : snap.at("stale").as_array()) {
-            StaleEvent se;
-            se.when = hexd(ev.at("when"), "snapshot stale when");
-            se.seq = hexu(ev.at("seq"), "snapshot stale seq");
-            se.serial = hexu(ev.at("serial"), "snapshot stale serial");
-            stale_events.push_back(se);
-        }
+        for (const io::Json& ev : snap.at("stale").as_array())
+            stale_events.push_back(
+                {d(ev, "when"), u(ev, "seq"), u(ev, "serial")});
         {
             const io::Json& a = snap.at("arrival");
             arrival_pending = a.at("pending").as_bool();
-            arrival_peak = hexd(a.at("peak"), "snapshot arrival peak");
-            arrival_when = hexd(a.at("when"), "snapshot arrival when");
-            arrival_seq = hexu(a.at("seq"), "snapshot arrival seq");
+            arrival_peak = d(a, "peak");
+            arrival_when = d(a, "when");
+            arrival_seq = u(a, "seq");
         }
 
         // Packets: acquire slab slots in saved (id) order. Slab slot
@@ -1464,36 +1201,26 @@ struct NicSimulator::Impl {
         live_packets.clear();
         for (const io::Json& pj : snap.at("packets").as_array()) {
             Packet* p = packet_slab.acquire();
-            p->id = hexu(pj.at("id"), "snapshot packet id");
-            p->class_index = static_cast<std::size_t>(
-                pj.at("class").as_number());
+            p->id = u(pj, "id");
+            p->class_index = static_cast<std::size_t>(n(pj, "class"));
             if (p->class_index >= traffic.classes().size())
                 throw std::runtime_error(
                     "NicSimulator::load_state: packet class out of range");
-            p->app_size = Bytes{hexd(pj.at("size"), "snapshot packet size")};
-            p->created = hexd(pj.at("created"), "snapshot packet created");
-            p->enqueued =
-                hexd(pj.at("enqueued"), "snapshot packet enqueued");
+            p->app_size = Bytes{d(pj, "size")};
+            p->created = d(pj, "created");
+            p->enqueued = d(pj, "enqueued");
             p->traced = false;
-            p->pending_kind = static_cast<std::uint8_t>(
-                pj.at("pending_kind").as_number());
-            p->pending_stage = static_cast<std::uint8_t>(
-                pj.at("pending_stage").as_number());
-            p->pending_edge = static_cast<EdgeId>(
-                pj.at("pending_edge").as_number());
-            p->pending_vertex = static_cast<VertexId>(
-                pj.at("pending_vertex").as_number());
-            p->pending_slot = static_cast<std::size_t>(
-                pj.at("pending_slot").as_number());
-            p->pending_when =
-                hexd(pj.at("pending_when"), "snapshot packet when");
-            p->pending_seq =
-                hexu(pj.at("pending_seq"), "snapshot packet seq");
-            p->service_start =
-                hexd(pj.at("service_start"), "snapshot service start");
-            p->service_time =
-                hexd(pj.at("service_time"), "snapshot service time");
-            p->serial = hexu(pj.at("serial"), "snapshot packet serial");
+            p->pending_kind = static_cast<std::uint8_t>(n(pj, "pending_kind"));
+            p->pending_stage =
+                static_cast<std::uint8_t>(n(pj, "pending_stage"));
+            p->pending_edge = static_cast<EdgeId>(n(pj, "pending_edge"));
+            p->pending_vertex = static_cast<VertexId>(n(pj, "pending_vertex"));
+            p->pending_slot = static_cast<std::size_t>(n(pj, "pending_slot"));
+            p->pending_when = d(pj, "pending_when");
+            p->pending_seq = u(pj, "pending_seq");
+            p->service_start = d(pj, "service_start");
+            p->service_time = d(pj, "service_time");
+            p->serial = u(pj, "serial");
             if (p->pending_kind == 1 && p->pending_edge >= graph.edge_count())
                 throw std::runtime_error(
                     "NicSimulator::load_state: packet edge out of range");
@@ -1505,8 +1232,9 @@ struct NicSimulator::Impl {
                 throw std::runtime_error(
                     "NicSimulator::load_state: duplicate packet id");
         }
-        auto find_packet = [this](std::uint64_t id) -> Packet* {
-            const auto it = live_packets.find(id);
+        auto find_packet = [this, &hexu](const io::Json& id) -> Packet* {
+            const auto it =
+                live_packets.find(hexu(id, "snapshot queued packet id"));
             if (it == live_packets.end())
                 throw std::runtime_error(
                     "NicSimulator::load_state: queue references an "
@@ -1514,9 +1242,9 @@ struct NicSimulator::Impl {
             return it->second;
         };
 
-        auto load_link = [&hexd](LinkServer& l, const io::Json& j) {
-            l.free_at = hexd(j.at("free_at"), "snapshot link free_at");
-            l.factor = hexd(j.at("factor"), "snapshot link factor");
+        auto load_link = [&d](LinkServer& l, const io::Json& j) {
+            l.free_at = d(j, "free_at");
+            l.factor = d(j, "factor");
         };
         load_link(interface_link, snap.at("interface_link"));
         load_link(memory_link, snap.at("memory_link"));
@@ -1538,18 +1266,14 @@ struct NicSimulator::Impl {
             for (std::size_t v = 0; v < arr.size(); ++v) {
                 VertexState& st = vertices[v];
                 const io::Json& vo = arr[v];
-                st.busy = static_cast<std::uint32_t>(
-                    vo.at("busy").as_number());
-                st.engines_offline = static_cast<std::uint32_t>(
-                    vo.at("engines_offline").as_number());
-                st.slow_factor =
-                    hexd(vo.at("slow_factor"), "snapshot slow_factor");
-                st.drop_prob =
-                    hexd(vo.at("drop_prob"), "snapshot drop_prob");
-                st.capacity_override = static_cast<std::uint32_t>(
-                    vo.at("capacity_override").as_number());
-                st.rr_cursor = static_cast<std::size_t>(
-                    vo.at("rr_cursor").as_number());
+                st.busy = static_cast<std::uint32_t>(n(vo, "busy"));
+                st.engines_offline =
+                    static_cast<std::uint32_t>(n(vo, "engines_offline"));
+                st.slow_factor = d(vo, "slow_factor");
+                st.drop_prob = d(vo, "drop_prob");
+                st.capacity_override =
+                    static_cast<std::uint32_t>(n(vo, "capacity_override"));
+                st.rr_cursor = static_cast<std::size_t>(n(vo, "rr_cursor"));
                 const io::JsonArray& queues = vo.at("queues").as_array();
                 if (queues.size() != st.queues.size())
                     throw std::runtime_error(
@@ -1557,31 +1281,19 @@ struct NicSimulator::Impl {
                 for (std::size_t q = 0; q < queues.size(); ++q) {
                     st.queues[q].clear();
                     for (const io::Json& id : queues[q].as_array())
-                        st.queues[q].push_back(find_packet(
-                            hexu(id, "snapshot queued packet id")));
+                        st.queues[q].push_back(find_packet(id));
                 }
                 st.in_service.clear();
-                for (const io::Json& eo : vo.at("in_service").as_array()) {
-                    VertexState::InService e;
-                    e.serial =
-                        hexu(eo.at("serial"), "snapshot in-service serial");
-                    e.pkt = find_packet(
-                        hexu(eo.at("id"), "snapshot in-service id"));
-                    e.qi = static_cast<std::size_t>(
-                        eo.at("qi").as_number());
-                    e.slot = static_cast<std::size_t>(
-                        eo.at("slot").as_number());
-                    st.in_service.push_back(e);
-                }
-                st.area_busy =
-                    hexd(vo.at("area_busy"), "snapshot area_busy");
-                st.area_occupancy = hexd(vo.at("area_occupancy"),
-                                         "snapshot area_occupancy");
-                st.last_change =
-                    hexd(vo.at("last_change"), "snapshot last_change");
-                st.served = hexu(vo.at("served"), "snapshot served");
-                st.vertex_dropped =
-                    hexu(vo.at("dropped"), "snapshot vertex dropped");
+                for (const io::Json& eo : vo.at("in_service").as_array())
+                    st.in_service.push_back(
+                        {u(eo, "serial"), find_packet(eo.at("id")),
+                         static_cast<std::size_t>(n(eo, "qi")),
+                         static_cast<std::size_t>(n(eo, "slot"))});
+                st.area_busy = d(vo, "area_busy");
+                st.area_occupancy = d(vo, "area_occupancy");
+                st.last_change = d(vo, "last_change");
+                st.served = u(vo, "served");
+                st.dropped = u(vo, "dropped");
             }
         }
 
@@ -1589,42 +1301,37 @@ struct NicSimulator::Impl {
             const io::Json& r = snap.at("recorders");
             std::vector<double> samples;
             for (const io::Json& v : r.at("latency_samples").as_array())
-                samples.push_back(hexd(v, "snapshot latency sample"));
-            latencies.restore(std::move(samples),
-                              r.at("latency_sealed").as_bool());
-            delivered.restore(
-                hexd(r.at("delivered_bytes"), "snapshot delivered bytes"),
-                hexu(r.at("delivered_requests"),
-                     "snapshot delivered requests"));
-            offered_in_window.restore(
-                hexu(r.at("offered"), "snapshot offered count"));
-            drops_in_window.restore(
-                hexu(r.at("drops"), "snapshot drop count"));
+                samples.push_back(io::double_from_hex(
+                    v.as_string(), "snapshot latency sample"));
+            ledger.latencies.restore(std::move(samples),
+                                     r.at("latency_sealed").as_bool());
+            ledger.delivered.restore(d(r, "delivered_bytes"),
+                                     u(r, "delivered_requests"));
+            ledger.offered_in_window.restore(u(r, "offered"));
+            ledger.drops_in_window.restore(u(r, "drops"));
             const io::Json& h = r.at("latency_hist");
             std::vector<std::uint64_t> counts;
             for (const io::Json& c : h.at("counts").as_array())
                 counts.push_back(hexu(c, "snapshot histogram count"));
-            latency_hist.restore(
-                std::move(counts),
-                hexu(h.at("total"), "snapshot histogram total"),
-                hexd(h.at("sum"), "snapshot histogram sum"));
+            ledger.latency_hist.restore(std::move(counts), u(h, "total"),
+                                        d(h, "sum"));
         }
 
         // Rebuild the calendar: clock first, then one restore_event per
         // pending event with its original (when, seq). Dispatch order
         // depends only on (when, seq), so heap layout differences between
         // the original and restored calendars are unobservable.
-        events.restore_clock(hexd(snap.at("now"), "snapshot now"),
-                             hexu(snap.at("next_seq"), "snapshot next_seq"),
-                             hexu(snap.at("executed"), "snapshot executed"));
+        EventQueue& events = ledger.events;
+        events.restore_clock(d(snap, "now"), u(snap, "next_seq"),
+                             u(snap, "executed"));
         if (arrival_pending) {
             const double peak = arrival_peak;
             events.restore_event(arrival_when, arrival_seq,
                                  [this, peak] { arrival_event(peak); });
         }
-        for (std::size_t i = static_cast<std::size_t>(fault_events_applied);
+        for (auto i = static_cast<std::size_t>(ledger.fault_events_applied);
              i < scheduled_faults.size(); ++i) {
-            events.restore_event(scheduled_faults[i].at, fault_seqs[i],
+            events.restore_event(scheduled_faults[i].step.at, fault_seqs[i],
                                  [this, i] {
                                      apply_fault(scheduled_faults[i]);
                                  });
@@ -1659,7 +1366,7 @@ struct NicSimulator::Impl {
             // delivered, even recycled); the stale no-op must only burn
             // its executed-count slot and clear the bookkeeping.
             events.restore_event(ev.when, ev.seq, [this, serial] {
-                killed.erase(serial);
+                ledger.killed.erase(serial);
                 erase_stale(serial);
             });
         }
@@ -1687,18 +1394,8 @@ NicSimulator::run()
         s.schedule_faults();
     s.schedule_next_arrival();
 
-    RunLimits limits;
-    limits.max_events = s.options.watchdog.max_events;
-    if (s.options.watchdog.wall_clock_seconds > 0.0) {
-        const auto deadline = std::chrono::steady_clock::now()
-            + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(
-                    s.options.watchdog.wall_clock_seconds));
-        limits.should_abort = [deadline] {
-            return std::chrono::steady_clock::now() >= deadline;
-        };
-    }
-    const RunOutcome outcome = s.events.run_until(s.options.duration, limits);
+    const RunOutcome outcome = s.ledger.events.run_until(
+        s.options.duration, RunLedger::limits(s.options.watchdog));
     s.finalized = true;
     return s.finalize_result(outcome);
 }
@@ -1736,7 +1433,7 @@ NicSimulator::advance(std::uint64_t max_events)
     // the final segment is kDrained/kHorizon, exactly as run() sees.
     RunLimits limits;
     limits.max_events = max_events;
-    s.last_outcome = s.events.run_until(s.options.duration, limits);
+    s.last_outcome = s.ledger.events.run_until(s.options.duration, limits);
     return s.last_outcome != RunOutcome::kEventBudget;
 }
 

@@ -1,12 +1,12 @@
 #include "lognic/sim/panic.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <deque>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "lognic/sim/packet_slab.hpp"
+#include "run_ledger.hpp"
 
 namespace lognic::sim {
 
@@ -23,94 +23,38 @@ struct Packet {
     bool traced{false};
 };
 
-struct UnitState {
+struct UnitState : Station {
     std::uint32_t credits_free{0};
-    std::uint32_t busy{0};
     std::deque<Packet*> pending; ///< held at the central scheduler
     std::deque<Packet*> buffer;  ///< on-unit, waiting for an engine
-    // Dynamic fault state (defaults = healthy):
-    std::uint32_t engines_offline{0};
-    double slow_factor{1.0};
-    double drop_prob{0.0};
-    std::uint32_t capacity_override{0}; ///< scheduler slots; 0 = config
     /// In-service requests, tracked only while a fault plan is active.
     struct InService {
         std::uint64_t serial{0};
         Packet* pkt{nullptr};
     };
     std::vector<InService> in_service;
-    // Measurement (window only):
-    std::uint64_t served{0};
-    std::uint64_t unit_dropped{0};
-    double area_busy{0.0}; ///< integral of busy engines over time
-    SimTime last_change{0.0};
 };
-
-/// Cause slots for the lifetime drop accounting (same order as the NIC
-/// simulator publishes, so snapshots aggregate across simulators).
-enum PanicDropCause : int {
-    kPanicDropOverflow = 0,
-    kPanicDropBurst = 1,
-    kPanicDropEngineFail = 2,
-};
-
-/// Same log-spaced microsecond buckets the NIC simulator publishes, so
-/// panic and nic latency histograms aggregate side by side.
-const std::vector<double>&
-panic_latency_bounds_us()
-{
-    static const std::vector<double> bounds{
-        1.0,    2.0,    5.0,    10.0,   20.0,    50.0,    100.0,
-        200.0,  500.0,  1000.0, 2000.0, 5000.0,  10000.0, 20000.0,
-        50000.0};
-    return bounds;
-}
 
 struct PanicSim {
     const PanicConfig& config;
     const core::TrafficProfile& traffic;
     const SimOptions& options;
 
-    EventQueue events;
-    Rng rng;
-    SimTime warmup_end;
-    LatencyRecorder latencies;
-    ThroughputMeter delivered;
-    /// Arrivals and scheduler drops inside (warmup_end, horizon]; their
-    /// ratio is the reported drop_rate (same window as completions).
-    WindowedCounter offered_in_window;
-    WindowedCounter drops_in_window;
-    obs::Histogram latency_hist{panic_latency_bounds_us()};
+    RunLedger ledger;
     /// In-flight packet records, recycled instead of per-arrival heap
     /// allocation (see packet_slab.hpp).
     Slab<Packet> packet_slab;
-    std::uint64_t generated{0};
-
-    // Lifetime conservation accounting (see the NIC simulator).
-    std::uint64_t completed_total{0};
-    std::uint64_t dropped_cause[3]{0, 0, 0};
-    std::uint64_t in_transit{0};
 
     // Fault injection (inert when the plan is empty).
     const bool faults_active;
-    std::uint64_t next_serial{0};
-    std::unordered_set<std::uint64_t> killed;
     double fabric_factor{1.0};
     struct ScheduledFault {
-        double at{0.0};
-        fault::FaultKind kind{fault::FaultKind::kEngineFail};
-        bool inverse{false};
+        fault::FaultStep step;
         bool fabric{false}; ///< link_degrade on the switching fabric
         std::size_t unit{0};
-        std::uint32_t count{1};
-        double factor{1.0};
-        double probability{1.0};
-        std::uint32_t capacity{1};
-        std::string label;
     };
     std::vector<ScheduledFault> scheduled_faults;
     obs::TrackId fault_track{0};
-    std::uint64_t fault_events_applied{0};
 
     // Tracing (inert when trace_opts.sink is null): one track per unit
     // carrying pending/credit counters, serve spans, and drop instants.
@@ -132,31 +76,37 @@ struct PanicSim {
 
     PanicSim(const PanicConfig& cfg, const core::TrafficProfile& tp,
              const SimOptions& opts)
-        : config(cfg), traffic(tp), options(opts), rng(opts.seed),
-          warmup_end(opts.duration * opts.warmup_fraction),
-          latencies(warmup_end), delivered(warmup_end),
-          offered_in_window(warmup_end, opts.duration),
-          drops_in_window(warmup_end, opts.duration),
+        : config(cfg), traffic(tp), options(opts), ledger(opts),
           faults_active(!opts.faults.empty()), trace_opts(opts.trace)
     {
         validate(options);
-        if (config.units.empty() || config.chains.empty())
-            throw std::invalid_argument("simulate_panic: empty config");
+        auto require = [](bool ok, const std::string& what) {
+            if (!ok)
+                throw std::invalid_argument("simulate_panic: " + what);
+        };
+        require(!config.units.empty() && !config.chains.empty(),
+                "empty config");
+        const double fabric = config.fabric_bw.bytes_per_sec();
+        require(std::isfinite(fabric) && fabric > 0.0,
+                "fabric_bw must be finite and > 0");
+        for (const auto& [field, delay] :
+             {std::pair{"hop_latency", config.hop_latency},
+              std::pair{"rmt_latency", config.rmt_latency}})
+            require(std::isfinite(delay.seconds()) && delay.seconds() >= 0.0,
+                    std::string(field) + " must be finite and >= 0");
         for (const auto& chain : config.chains) {
-            if (chain.units.empty())
-                throw std::invalid_argument("simulate_panic: empty chain");
-            for (std::size_t u : chain.units) {
-                if (u >= config.units.size())
-                    throw std::invalid_argument(
-                        "simulate_panic: chain references unknown unit");
-            }
+            require(!chain.units.empty(), "empty chain");
+            for (std::size_t u : chain.units)
+                require(u < config.units.size(),
+                        "chain references unknown unit");
             chain_weights.push_back(chain.weight);
         }
         units.resize(config.units.size());
         for (std::size_t u = 0; u < config.units.size(); ++u) {
-            if (config.units[u].credits == 0)
-                throw std::invalid_argument(
-                    "simulate_panic: unit needs at least one credit");
+            require(config.units[u].credits > 0,
+                    "unit needs at least one credit");
+            require(config.units[u].parallelism > 0,
+                    "unit '" + unit_name(u) + "' needs parallelism >= 1");
             units[u].credits_free = config.units[u].credits;
         }
         for (const auto& c : traffic.classes()) {
@@ -167,121 +117,63 @@ struct PanicSim {
             total_pps += pps;
         }
         fabric_ports.resize(config.units.size() + 1); // +1: the TX port
-        if (faults_active)
-            resolve_faults();
+        scheduled_faults =
+            schedule_plan(options.faults, options.duration, *this);
         if (trace_opts.sink != nullptr) {
             if (faults_active)
                 fault_track = trace_opts.sink->register_track("faults");
             unit_tracks.reserve(config.units.size());
-            for (std::size_t u = 0; u < config.units.size(); ++u) {
-                const std::string& name = config.units[u].name;
-                unit_tracks.push_back(trace_opts.sink->register_track(
-                    name.empty() ? "unit" + std::to_string(u) : name));
-            }
+            for (std::size_t u = 0; u < config.units.size(); ++u)
+                unit_tracks.push_back(
+                    trace_opts.sink->register_track(unit_name(u)));
         }
     }
 
-    std::size_t
-    find_unit(const std::string& name) const
+    std::string
+    unit_name(std::size_t u) const
     {
-        for (std::size_t u = 0; u < config.units.size(); ++u) {
-            const std::string& n = config.units[u].name;
-            if (n == name || (n.empty() && "unit" + std::to_string(u) == name))
-                return u;
+        const std::string& name = config.units[u].name;
+        return name.empty() ? "unit" + std::to_string(u) : name;
+    }
+
+    /// The unit (or the fabric) a fault names; throws on unknown targets.
+    ScheduledFault
+    resolve(fault::FaultKind kind, const std::string& target) const
+    {
+        ScheduledFault f;
+        if (kind == fault::FaultKind::kLinkDegrade) {
+            if (target != "fabric")
+                throw std::invalid_argument(
+                    "simulate_panic: link_degrade target '" + target
+                    + "' must be 'fabric'");
+            f.fabric = true;
+            return f;
+        }
+        for (f.unit = 0; f.unit < config.units.size(); ++f.unit) {
+            if (unit_name(f.unit) == target)
+                return f;
         }
         throw std::invalid_argument(
-            "simulate_panic: fault target '" + name
+            "simulate_panic: fault target '" + target
             + "' is not a PANIC unit (and not the reserved link 'fabric')");
-    }
-
-    void
-    resolve_faults()
-    {
-        for (const fault::FaultEvent& ev : options.faults.sorted()) {
-            ScheduledFault f;
-            f.at = ev.at;
-            f.kind = ev.kind;
-            f.count = ev.count;
-            f.factor = ev.factor;
-            f.probability = ev.probability;
-            f.capacity = ev.capacity;
-            f.label = std::string(fault::to_string(ev.kind)) + ":" + ev.target;
-            if (ev.kind == fault::FaultKind::kLinkDegrade) {
-                if (ev.target != "fabric")
-                    throw std::invalid_argument(
-                        "simulate_panic: link_degrade target '" + ev.target
-                        + "' must be 'fabric'");
-                f.fabric = true;
-            } else {
-                f.unit = find_unit(ev.target);
-            }
-            if (f.at > options.duration)
-                continue;
-            scheduled_faults.push_back(f);
-            if (ev.duration > 0.0 && ev.at + ev.duration <= options.duration) {
-                ScheduledFault inv = f;
-                inv.at = ev.at + ev.duration;
-                inv.inverse = true;
-                inv.label = std::string(fault::to_string(ev.kind)) + "/end:"
-                    + ev.target;
-                scheduled_faults.push_back(inv);
-            }
-        }
-        std::stable_sort(scheduled_faults.begin(), scheduled_faults.end(),
-                         [](const ScheduledFault& a, const ScheduledFault& b) {
-                             return a.at < b.at;
-                         });
-    }
-
-    void
-    schedule_faults()
-    {
-        for (const ScheduledFault& f : scheduled_faults)
-            events.schedule_at(f.at, [this, &f] { apply_fault(f); });
-    }
-
-    std::uint32_t
-    available(std::size_t u) const
-    {
-        const std::uint32_t par = config.units[u].parallelism;
-        return units[u].engines_offline >= par
-            ? 0u
-            : par - units[u].engines_offline;
     }
 
     void
     apply_fault(const ScheduledFault& f)
     {
-        ++fault_events_applied;
+        ++ledger.fault_events_applied;
         if (trace_opts.sink != nullptr)
-            trace_opts.sink->instant(fault_track, f.label,
-                                     Seconds{events.now()});
-        switch (f.kind) {
-          case fault::FaultKind::kLinkDegrade:
-            fabric_factor = f.inverse ? 1.0 : f.factor;
-            break;
-          case fault::FaultKind::kEngineFail:
-            if (f.inverse)
-                recover_engines(f.unit, f.count);
-            else
-                fail_engines(f.unit, f.count);
-            break;
-          case fault::FaultKind::kEngineRecover:
-            if (f.inverse)
-                fail_engines(f.unit, f.count);
-            else
-                recover_engines(f.unit, f.count);
-            break;
-          case fault::FaultKind::kSlowdown:
-            units[f.unit].slow_factor = f.inverse ? 1.0 : f.factor;
-            break;
-          case fault::FaultKind::kDropBurst:
-            units[f.unit].drop_prob = f.inverse ? 0.0 : f.probability;
-            break;
-          case fault::FaultKind::kQueueCapacity:
-            units[f.unit].capacity_override = f.inverse ? 0 : f.capacity;
-            break;
-        }
+            trace_opts.sink->instant(fault_track, f.step.label,
+                                     Seconds{ledger.events.now()});
+        const fault::FaultStep& step = f.step;
+        if (f.fabric)
+            fabric_factor = step.value;
+        else if (step.engines > 0)
+            fail_engines(f.unit, static_cast<std::uint32_t>(step.engines));
+        else if (step.engines < 0)
+            recover_engines(f.unit, static_cast<std::uint32_t>(-step.engines));
+        else
+            units[f.unit].set(step);
     }
 
     /**
@@ -298,21 +190,17 @@ struct PanicSim {
         touch(st);
         st.engines_offline = std::min(config.units[u].parallelism,
                                       st.engines_offline + count);
-        while (st.busy > available(u)) {
+        while (st.busy > st.available(config.units[u].parallelism)) {
             const UnitState::InService victim = st.in_service.back();
             st.in_service.pop_back();
-            killed.insert(victim.serial);
+            ledger.killed.insert(victim.serial);
             --st.busy;
             if (options.faults.in_service_policy
                 == fault::InServicePolicy::kRequeue) {
                 st.buffer.push_front(victim.pkt);
             } else {
-                drop_packet(victim.pkt, u, kPanicDropEngineFail);
-                events.schedule_in(config.hop_latency.seconds(), [this, u] {
-                    ++units[u].credits_free;
-                    trace_counters(u);
-                    try_dispatch(u);
-                });
+                drop_packet(victim.pkt, u, kDropEngineFail);
+                return_credit(u);
             }
         }
         trace_counters(u);
@@ -329,22 +217,28 @@ struct PanicSim {
         try_serve(u);
     }
 
-    /// Account a lost packet (lifetime cause + measurement window), close
-    /// its trace spans, and recycle the slab slot (the caller's pointer is
-    /// dead after this).
+    /// The unit's credit returns to the scheduler after one fabric hop.
     void
-    drop_packet(Packet* pkt, std::size_t u, PanicDropCause cause)
+    return_credit(std::size_t u)
     {
-        ++dropped_cause[cause];
-        drops_in_window.record(events.now());
-        if (events.now() > warmup_end)
-            ++units[u].unit_dropped;
+        ledger.events.schedule_in(config.hop_latency.seconds(), [this, u] {
+            ++units[u].credits_free;
+            trace_counters(u);
+            try_dispatch(u);
+        });
+    }
+
+    /// Account a lost packet, close its trace spans, and recycle the slab
+    /// slot (the caller's pointer is dead after this).
+    void
+    drop_packet(Packet* pkt, std::size_t u, DropCause cause)
+    {
+        ledger.drop(cause, units[u]);
         if (trace_opts.sink != nullptr) {
-            trace_opts.sink->instant(unit_tracks[u], "drop",
-                                     Seconds{events.now()});
+            const Seconds now{ledger.events.now()};
+            trace_opts.sink->instant(unit_tracks[u], "drop", now);
             if (pkt->traced)
-                trace_opts.sink->async_end(pkt->id, "pkt",
-                                           Seconds{events.now()});
+                trace_opts.sink->async_end(pkt->id, "pkt", now);
         }
         packet_slab.release(pkt);
     }
@@ -353,15 +247,9 @@ struct PanicSim {
     void
     touch(UnitState& st)
     {
-        const SimTime now = events.now();
-        if (now <= warmup_end) {
-            st.last_change = warmup_end;
-            return;
-        }
-        const SimTime from = std::max(st.last_change, warmup_end);
-        if (now > from)
-            st.area_busy += (now - from) * static_cast<double>(st.busy);
-        st.last_change = now;
+        const double dt = ledger.window_dt(st.last_change);
+        if (dt > 0.0)
+            st.area_busy += dt * static_cast<double>(st.busy);
     }
 
     /// Emit the unit's scheduler/credit counter samples.
@@ -371,7 +259,7 @@ struct PanicSim {
         if (trace_opts.sink == nullptr || !trace_opts.counters)
             return;
         const UnitState& st = units[u];
-        const Seconds now{events.now()};
+        const Seconds now{ledger.events.now()};
         const obs::TrackId t = unit_tracks[u];
         trace_opts.sink->counter(t, "pending", now,
                                  static_cast<double>(st.pending.size()));
@@ -382,10 +270,10 @@ struct PanicSim {
     }
 
     SimTime
-    fabric_transfer(SimTime earliest, Bytes payload, std::size_t port)
+    fabric_transfer(Bytes payload, std::size_t port)
     {
         LinkFree& p = fabric_ports[port];
-        const SimTime start = std::max(earliest, p.free_at);
+        const SimTime start = std::max(ledger.events.now(), p.free_at);
         // fabric_factor is exactly 1.0 unless a link_degrade fault is in
         // force, keeping the healthy path bit-identical.
         p.free_at =
@@ -397,29 +285,28 @@ struct PanicSim {
     schedule_next_arrival()
     {
         const double gap = options.poisson_arrivals
-            ? rng.exponential(1.0 / total_pps)
+            ? ledger.rng.exponential(1.0 / total_pps)
             : 1.0 / total_pps;
-        events.schedule_in(gap, [this] {
-            if (events.now() >= options.duration)
+        ledger.events.schedule_in(gap, [this] {
+            if (ledger.events.now() >= options.duration)
                 return;
             Packet* pkt = packet_slab.acquire();
-            pkt->class_index = rng.weighted_index(class_pps_weight);
+            pkt->class_index = ledger.rng.weighted_index(class_pps_weight);
             pkt->size = traffic.classes()[pkt->class_index].size;
-            pkt->created = events.now();
-            pkt->chain = rng.weighted_index(chain_weights);
-            pkt->id = generated;
+            pkt->created = ledger.events.now();
+            pkt->chain = ledger.rng.weighted_index(chain_weights);
+            pkt->id = ledger.arrive();
             pkt->traced = trace_opts.sampled(pkt->id);
-            ++generated;
-            offered_in_window.record(events.now());
             if (pkt->traced)
                 trace_opts.sink->async_begin(pkt->id, "pkt",
-                                             Seconds{events.now()});
+                                             Seconds{pkt->created});
             // RMT parse, then hand the packet to the scheduler.
-            ++in_transit;
-            events.schedule_in(config.rmt_latency.seconds(), [this, pkt] {
-                --in_transit;
-                enqueue_at_scheduler(pkt);
-            });
+            ++ledger.in_transit;
+            ledger.events.schedule_in(config.rmt_latency.seconds(),
+                                      [this, pkt] {
+                                          --ledger.in_transit;
+                                          enqueue_at_scheduler(pkt);
+                                      });
             schedule_next_arrival();
         });
     }
@@ -430,8 +317,8 @@ struct PanicSim {
         const std::size_t u = config.chains[pkt->chain].units[pkt->stage];
         UnitState& st = units[u];
         if (faults_active && st.drop_prob > 0.0
-            && rng.uniform() < st.drop_prob) {
-            drop_packet(pkt, u, kPanicDropBurst);
+            && ledger.rng.uniform() < st.drop_prob) {
+            drop_packet(pkt, u, kDropBurstLoss);
             return;
         }
         const std::uint32_t cap = st.capacity_override > 0
@@ -440,7 +327,7 @@ struct PanicSim {
         if (pkt->stage == 0 && st.pending.size() >= cap) {
             // The central packet buffer is full: shed new arrivals.
             // Mid-chain packets are never shed (they already own buffering).
-            drop_packet(pkt, u, kPanicDropOverflow);
+            drop_packet(pkt, u, kDropOverflow);
             return;
         }
         st.pending.push_back(pkt);
@@ -457,11 +344,10 @@ struct PanicSim {
             st.pending.pop_front();
             --st.credits_free;
             trace_counters(u);
-            ++in_transit;
-            const SimTime arrive =
-                fabric_transfer(events.now(), pkt->size, u);
-            events.schedule_at(arrive, [this, pkt, u] {
-                --in_transit;
+            ++ledger.in_transit;
+            const SimTime arrive = fabric_transfer(pkt->size, u);
+            ledger.events.schedule_at(arrive, [this, pkt, u] {
+                --ledger.in_transit;
                 units[u].buffer.push_back(pkt);
                 try_serve(u);
             });
@@ -473,7 +359,8 @@ struct PanicSim {
     {
         UnitState& st = units[u];
         const PanicUnit& spec = config.units[u];
-        while (st.busy < available(u) && !st.buffer.empty()) {
+        while (st.busy < st.available(spec.parallelism)
+               && !st.buffer.empty()) {
             Packet* pkt = st.buffer.front();
             st.buffer.pop_front();
             touch(st);
@@ -483,31 +370,19 @@ struct PanicSim {
                 spec.service.service_time(pkt->size).seconds()
                 * st.slow_factor;
             const double service = options.exponential_service
-                ? rng.exponential(mean)
+                ? ledger.rng.exponential(mean)
                 : mean;
             std::uint64_t serial = 0;
             if (faults_active) {
-                serial = next_serial++;
+                serial = ledger.next_serial++;
                 st.in_service.push_back({serial, pkt});
             }
-            const SimTime start = events.now();
-            events.schedule_in(service, [this, pkt, u, start, service,
-                                         serial] {
-                if (faults_active) {
-                    // Neutralized by an engine failure after scheduling:
-                    // the fault instant already requeued/dropped the
-                    // request and fixed busy/credits.
-                    if (killed.erase(serial) > 0)
-                        return;
-                    auto& isv = units[u].in_service;
-                    for (std::size_t i = 0; i < isv.size(); ++i) {
-                        if (isv[i].serial == serial) {
-                            isv[i] = std::move(isv.back());
-                            isv.pop_back();
-                            break;
-                        }
-                    }
-                }
+            const SimTime start = ledger.events.now();
+            ledger.events.schedule_in(service, [this, pkt, u, start, service,
+                                                serial] {
+                if (faults_active
+                    && !ledger.retire(units[u].in_service, serial))
+                    return;
                 UnitState& s2 = units[u];
                 touch(s2);
                 --s2.busy;
@@ -517,12 +392,7 @@ struct PanicSim {
                                           Seconds{start}, Seconds{service});
                 trace_counters(u);
                 try_serve(u);
-                // Credit returns to the scheduler after one fabric hop.
-                events.schedule_in(config.hop_latency.seconds(), [this, u] {
-                    ++units[u].credits_free;
-                    trace_counters(u);
-                    try_dispatch(u);
-                });
+                return_credit(u);
                 advance(pkt);
             });
         }
@@ -538,23 +408,44 @@ struct PanicSim {
         }
         // Egress: one last fabric traversal to the TX pipeline; the slab
         // slot is recycled once the completion is measured.
-        ++in_transit;
-        const SimTime out =
-            fabric_transfer(events.now(), pkt->size, config.units.size());
-        events.schedule_at(out, [this, pkt] {
-            --in_transit;
-            ++completed_total;
-            latencies.record(events.now(),
-                             Seconds{events.now() - pkt->created});
-            delivered.record(events.now(), pkt->size);
-            if (events.now() > warmup_end)
-                latency_hist.record(
-                    Seconds{events.now() - pkt->created}.micros());
+        ++ledger.in_transit;
+        const SimTime out = fabric_transfer(pkt->size, config.units.size());
+        ledger.events.schedule_at(out, [this, pkt] {
+            --ledger.in_transit;
+            ledger.deliver(pkt->created, pkt->size);
             if (pkt->traced)
                 trace_opts.sink->async_end(pkt->id, "pkt",
-                                           Seconds{events.now()});
+                                           Seconds{ledger.events.now()});
             packet_slab.release(pkt);
         });
+    }
+
+    SimResult
+    run()
+    {
+        // Faults go on the calendar ahead of the first arrival, so a fault
+        // "at t" is in force for arrivals at t (FIFO tie-break).
+        for (const ScheduledFault& f : scheduled_faults)
+            ledger.events.schedule_at(f.step.at,
+                                      [this, &f] { apply_fault(f); });
+        schedule_next_arrival();
+        const RunOutcome outcome = ledger.events.run_until(
+            options.duration, RunLedger::limits(options.watchdog));
+
+        std::uint64_t queued_or_busy = 0;
+        std::vector<VertexStats> stats;
+        for (std::size_t u = 0; u < units.size(); ++u) {
+            UnitState& st = units[u];
+            touch(st);
+            queued_or_busy += st.pending.size() + st.buffer.size() + st.busy;
+            stats.push_back(ledger.measure(unit_name(u), st,
+                                           config.units[u].parallelism));
+        }
+        obs::MetricsRegistry reg;
+        SimResult r = ledger.finish(outcome, std::move(stats), queued_or_busy,
+                                    "simulate_panic", "unit", reg);
+        r.metrics = reg.snapshot();
+        return r;
     }
 };
 
@@ -564,117 +455,7 @@ SimResult
 simulate_panic(const PanicConfig& config, const core::TrafficProfile& traffic,
                SimOptions options)
 {
-    PanicSim sim(config, traffic, options);
-    if (sim.faults_active)
-        sim.schedule_faults();
-    sim.schedule_next_arrival();
-
-    RunLimits limits;
-    limits.max_events = options.watchdog.max_events;
-    if (options.watchdog.wall_clock_seconds > 0.0) {
-        const auto deadline = std::chrono::steady_clock::now()
-            + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(
-                    options.watchdog.wall_clock_seconds));
-        limits.should_abort = [deadline] {
-            return std::chrono::steady_clock::now() >= deadline;
-        };
-    }
-    const RunOutcome outcome = sim.events.run_until(options.duration, limits);
-    const SimTime end = sim.events.now();
-
-    SimResult r;
-    r.truncated = outcome == RunOutcome::kEventBudget
-        || outcome == RunOutcome::kAborted;
-    if (outcome == RunOutcome::kEventBudget)
-        r.truncation_reason = "event_budget";
-    else if (outcome == RunOutcome::kAborted)
-        r.truncation_reason = "wall_clock";
-    r.sim_time_reached = end;
-    r.events_executed = sim.events.executed();
-    r.delivered = sim.delivered.bandwidth(end);
-    r.delivered_ops = sim.delivered.rate(end);
-    // Single-writer phase over: one sort, then race-free const reads.
-    sim.latencies.seal();
-    r.mean_latency = sim.latencies.mean().value_or(Seconds{0.0});
-    r.p50_latency = sim.latencies.p50().value_or(Seconds{0.0});
-    r.p99_latency = sim.latencies.p99().value_or(Seconds{0.0});
-    r.generated = sim.generated;
-    r.completed = sim.delivered.requests();
-    // Windowed drop accounting — same (warmup_end, horizon] convention as
-    // completions, so drop_rate is an unbiased blocking estimate.
-    const std::uint64_t offered = sim.offered_in_window.count();
-    r.dropped = sim.drops_in_window.count();
-    r.drop_rate = offered > 0
-        ? static_cast<double>(r.dropped) / static_cast<double>(offered)
-        : 0.0;
-
-    const double window = end - sim.warmup_end;
-    std::uint64_t queued_or_busy = 0;
-    for (std::size_t u = 0; u < sim.units.size(); ++u) {
-        UnitState& st = sim.units[u];
-        sim.touch(st);
-        queued_or_busy += st.pending.size() + st.buffer.size() + st.busy;
-        VertexStats vs;
-        vs.name = config.units[u].name.empty()
-            ? "unit" + std::to_string(u)
-            : config.units[u].name;
-        if (window > 0.0)
-            vs.utilization = st.area_busy
-                / (window
-                   * static_cast<double>(config.units[u].parallelism));
-        vs.served = st.served;
-        vs.dropped = st.unit_dropped;
-        r.vertex_stats.push_back(std::move(vs));
-    }
-
-    // Packet conservation (see NicSimulator::run): every generated packet
-    // is delivered, dropped, or still inside the device.
-    r.completed_total = sim.completed_total;
-    r.dropped_total = sim.dropped_cause[kPanicDropOverflow]
-        + sim.dropped_cause[kPanicDropBurst]
-        + sim.dropped_cause[kPanicDropEngineFail];
-    r.in_flight = sim.in_transit + queued_or_busy;
-    if (r.generated != r.completed_total + r.dropped_total + r.in_flight)
-        throw std::logic_error(
-            "simulate_panic: packet conservation violated: generated="
-            + std::to_string(r.generated) + " != completed="
-            + std::to_string(r.completed_total) + " + dropped="
-            + std::to_string(r.dropped_total) + " + in_flight="
-            + std::to_string(r.in_flight));
-
-    obs::MetricsRegistry reg;
-    reg.counter("sim.generated").add(r.generated);
-    reg.counter("sim.offered").add(offered);
-    reg.counter("sim.completed").add(r.completed);
-    reg.counter("sim.dropped").add(r.dropped);
-    reg.counter("sim.completed_total").add(r.completed_total);
-    reg.counter("sim.dropped_total").add(r.dropped_total);
-    reg.counter("sim.dropped_by_cause.overflow")
-        .add(sim.dropped_cause[kPanicDropOverflow]);
-    reg.counter("sim.dropped_by_cause.burst")
-        .add(sim.dropped_cause[kPanicDropBurst]);
-    reg.counter("sim.dropped_by_cause.engine_fail")
-        .add(sim.dropped_cause[kPanicDropEngineFail]);
-    reg.counter("sim.in_flight").add(r.in_flight);
-    reg.counter("sim.fault_events").add(sim.fault_events_applied);
-    reg.counter("sim.events_executed").add(r.events_executed);
-    reg.gauge("sim.truncated").set(r.truncated ? 1.0 : 0.0);
-    reg.gauge("sim.delivered_gbps").set(r.delivered.gbps());
-    reg.gauge("sim.delivered_mops").set(r.delivered_ops.mops());
-    reg.gauge("sim.drop_rate").set(r.drop_rate);
-    reg.gauge("sim.mean_latency_us").set(r.mean_latency.micros());
-    reg.gauge("sim.p50_latency_us").set(r.p50_latency.micros());
-    reg.gauge("sim.p99_latency_us").set(r.p99_latency.micros());
-    reg.histogram("sim.latency_us", panic_latency_bounds_us()) =
-        sim.latency_hist;
-    for (const VertexStats& vs : r.vertex_stats) {
-        reg.counter("unit." + vs.name + ".served").add(vs.served);
-        reg.counter("unit." + vs.name + ".dropped").add(vs.dropped);
-        reg.gauge("unit." + vs.name + ".utilization").set(vs.utilization);
-    }
-    r.metrics = reg.snapshot();
-    return r;
+    return PanicSim(config, traffic, options).run();
 }
 
 Bandwidth

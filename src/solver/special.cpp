@@ -1,5 +1,7 @@
 #include "lognic/solver/special.hpp"
 
+#include <math.h>
+
 #include <cmath>
 #include <stdexcept>
 
@@ -9,6 +11,16 @@ namespace {
 
 constexpr int kMaxIterations = 500;
 constexpr double kEps = 1e-14;
+
+/// log Gamma(a). std::lgamma also writes libm's global `signgam`, a data
+/// race once model solves run on several threads; lgamma_r returns the
+/// same value and writes the sign to a local instead.
+double
+log_gamma(double a)
+{
+    int sign = 0;
+    return ::lgamma_r(a, &sign);
+}
 
 /// Series representation, converges fast for x < a + 1.
 double
@@ -24,7 +36,7 @@ gamma_p_series(double a, double x)
         if (std::abs(term) < std::abs(sum) * kEps)
             break;
     }
-    return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+    return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 /// Lentz continued fraction for Q(a, x), converges fast for x >= a + 1.
@@ -51,7 +63,7 @@ gamma_q_continued_fraction(double a, double x)
         if (std::abs(delta - 1.0) < kEps)
             break;
     }
-    return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+    return std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "lognic/devices/panic_proto.hpp"
 #include "lognic/traffic/profiles.hpp"
 
@@ -123,6 +126,34 @@ TEST(PanicSim, RejectsBadConfigs)
     no_credit.units[0].credits = 0;
     EXPECT_THROW(simulate_panic(no_credit, core::TrafficProfile{}, quick()),
                  std::invalid_argument);
+
+    // Configs the engine cannot run are rejected by field, not turned into
+    // NaN utilizations, silent non-delivery or a scheduling-into-the-past
+    // abort mid-run.
+    const auto traffic = core::TrafficProfile::fixed(
+        Bytes{512.0}, Bandwidth::from_gbps(10.0));
+    auto expect_rejected = [&](const PanicConfig& cfg,
+                               const std::string& field) {
+        try {
+            simulate_panic(cfg, traffic, quick());
+            ADD_FAILURE() << "expected invalid_argument for " << field;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    PanicConfig no_engine = one_unit_chain(4);
+    no_engine.units[0].parallelism = 0;
+    expect_rejected(no_engine, "parallelism");
+    PanicConfig no_fabric = one_unit_chain(4);
+    no_fabric.fabric_bw = Bandwidth::from_gbps(0.0);
+    expect_rejected(no_fabric, "fabric_bw");
+    PanicConfig negative_hop = one_unit_chain(4);
+    negative_hop.hop_latency = Seconds::from_nanos(-10.0);
+    expect_rejected(negative_hop, "hop_latency");
+    PanicConfig nan_rmt = one_unit_chain(4);
+    nan_rmt.rmt_latency = Seconds{std::nan("")};
+    expect_rejected(nan_rmt, "rmt_latency");
 }
 
 TEST(PanicCreditCapacity, WindowFormula)

@@ -73,6 +73,7 @@
  * failed-point retry rounds with exponential backoff.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -196,6 +197,24 @@ write_file(const std::string& path, const std::string& contents)
         return false;
     }
     return true;
+}
+
+/**
+ * Strict numeric flag values: the whole text must parse, so "0.01x" or
+ * "7q" exits 1 naming @p flag instead of silently truncating. Counts
+ * (seeds, trials, threads) go through io::parse_u64, which also rejects
+ * negatives rather than wrapping them to huge values.
+ */
+double
+parse_real(const std::string& text, const std::string& flag)
+{
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size()
+        || !std::isfinite(value))
+        throw std::runtime_error("invalid number for " + flag + ": '" + text
+                                 + "'");
+    return value;
 }
 
 /// Shared checkpoint-flag state for sweep/check/calibrate/run.
@@ -390,12 +409,11 @@ cmd_run(const io::Scenario& sc, int argc, char** argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--seconds" && has_value) {
-            opts.duration = std::atof(argv[++i]);
+            opts.duration = parse_real(argv[++i], arg);
         } else if (arg == "--seed" && has_value) {
-            opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            opts.seed = io::parse_u64(argv[++i], arg);
         } else if (arg == "--segment-events" && has_value) {
-            segment_events =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            segment_events = io::parse_u64(argv[++i], arg);
         } else {
             std::fprintf(stderr, "run: bad argument '%s'\n", arg.c_str());
             return 2;
@@ -444,12 +462,11 @@ cmd_trace(const io::Scenario& sc, int argc, char** argv)
         if (arg == "--out" && has_value) {
             out_path = argv[++i];
         } else if (arg == "--seconds" && has_value) {
-            opts.duration = std::atof(argv[++i]);
+            opts.duration = parse_real(argv[++i], arg);
         } else if (arg == "--seed" && has_value) {
-            opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            opts.seed = io::parse_u64(argv[++i], arg);
         } else if (arg == "--sample" && has_value) {
-            sample_every =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            sample_every = io::parse_u64(argv[++i], arg);
         } else {
             std::fprintf(stderr, "trace: bad argument '%s'\n", arg.c_str());
             return 2;
@@ -512,13 +529,11 @@ cmd_check(int argc, char** argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--trials" && has_value) {
-            copts.trials =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            copts.trials = io::parse_u64(argv[++i], arg);
         } else if (arg == "--seed" && has_value) {
-            copts.seed =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            copts.seed = io::parse_u64(argv[++i], arg);
         } else if (arg == "--duration" && has_value) {
-            copts.duration = std::atof(argv[++i]);
+            copts.duration = parse_real(argv[++i], arg);
         } else if (arg == "--corpus" && has_value) {
             corpus_dir = argv[++i];
         } else if (arg == "--out" && has_value) {
@@ -647,9 +662,9 @@ cmd_faults(const io::Scenario& sc, const std::string& plan_path, int argc,
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--seconds" && has_value) {
-            opts.duration = std::atof(argv[++i]);
+            opts.duration = parse_real(argv[++i], arg);
         } else if (arg == "--seed" && has_value) {
-            opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            opts.seed = io::parse_u64(argv[++i], arg);
         } else if (arg == "--curve" && has_value) {
             curve_vertex = argv[++i];
         } else {
@@ -734,7 +749,7 @@ cmd_calibrate(const io::Json& doc, int argc, char** argv)
             out_path = argv[++i];
         } else if (arg == "--threads" && has_value) {
             threads_override =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+                static_cast<std::size_t>(io::parse_u64(argv[++i], arg));
         } else {
             std::fprintf(stderr, "calibrate: bad argument '%s'\n",
                          arg.c_str());
@@ -796,7 +811,7 @@ cmd_explore(const io::Json& doc, int argc, char** argv)
             out_path = argv[++i];
         } else if (arg == "--threads" && has_value) {
             threads_override =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+                static_cast<std::size_t>(io::parse_u64(argv[++i], arg));
         } else if (arg.rfind("--prune=", 0) == 0) {
             prune_override = arg.substr(8);
         } else if (arg == "--prune" && has_value) {
@@ -852,7 +867,7 @@ cmd_sweep(const io::Scenario& sc, int argc, char** argv)
     std::printf("%10s %12s %12s %12s %12s\n", "offered", "capacity",
                 "goodput", "mean(us)", "p99(us)");
     for (int i = 0; i < argc; ++i) {
-        const double gbps = std::atof(argv[i]);
+        const double gbps = parse_real(argv[i], "rate");
         if (gbps <= 0.0) {
             std::fprintf(stderr, "bad rate '%s'\n", argv[i]);
             return 2;
@@ -938,10 +953,10 @@ main(int argc, char** argv)
         if (command == "trace")
             return cmd_trace(sc, argc - 3, argv + 3);
         if (command == "simulate") {
-            const double seconds = argc > 3 ? std::atof(argv[3]) : 0.05;
-            const std::uint64_t seed = argc > 4
-                ? static_cast<std::uint64_t>(std::atoll(argv[4]))
-                : 42;
+            const double seconds =
+                argc > 3 ? parse_real(argv[3], "seconds") : 0.05;
+            const std::uint64_t seed =
+                argc > 4 ? io::parse_u64(argv[4], "seed") : 42;
             if (seconds <= 0.0) {
                 std::fprintf(stderr, "bad duration\n");
                 return 2;
