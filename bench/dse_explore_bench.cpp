@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "lognic/apps/nf_chain.hpp"
 #include "lognic/dse/explorer.hpp"
 #include "lognic/dse/report.hpp"
@@ -145,10 +146,10 @@ run_explore(const dse::DesignSpace& space, dse::PruneMode mode)
 /// Best-of-N: keep the pass with the highest configs/sec.
 template <typename F>
 BenchResult
-best_of(int repeats, F&& run)
+best_of(std::uint64_t repeats, F&& run)
 {
     BenchResult best = run();
-    for (int i = 1; i < repeats; ++i) {
+    for (std::uint64_t i = 1; i < repeats; ++i) {
         BenchResult r = run();
         if (r.configs_per_sec() > best.configs_per_sec())
             best = r;
@@ -200,12 +201,12 @@ int
 main(int argc, char** argv)
 {
     std::string out = "BENCH_dse.json";
-    int repeats = 3;
-    for (int i = 1; i + 1 < argc; i += 2) {
+    std::uint64_t repeats = 3;
+    for (int i = 1; i < argc; i += 2) {
         if (std::strcmp(argv[i], "--out") == 0) {
-            out = argv[i + 1];
+            out = bench::value_arg(argc, argv, i);
         } else if (std::strcmp(argv[i], "--repeat") == 0) {
-            repeats = std::max(1, std::atoi(argv[i + 1]));
+            repeats = bench::u64_arg(argc, argv, i);
         } else {
             std::fprintf(stderr,
                          "usage: dse_explore_bench [--out PATH] "

@@ -8,7 +8,7 @@
  * the optimizer suggests degree 6 for the 50/50 split and 4 for 80/20.
  *
  * Accepts `--threads N`: the 16 simulated design points fan out over the
- * runner's thread pool; per-point seeds derive from the point index, so
+ * runner's worker threads; per-point seeds derive from the point index, so
  * output is byte-identical for any N.
  */
 #include "bench_util.hpp"

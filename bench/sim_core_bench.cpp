@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "lognic/apps/inline_accel.hpp"
 #include "lognic/apps/panic_models.hpp"
 #include "lognic/sim/event_queue.hpp"
@@ -145,10 +146,10 @@ run_panic_chain()
 /// Best-of-N: keep the pass with the highest events/sec.
 template <typename F>
 BenchResult
-best_of(int repeats, F&& run)
+best_of(std::uint64_t repeats, F&& run)
 {
     BenchResult best = run();
-    for (int i = 1; i < repeats; ++i) {
+    for (std::uint64_t i = 1; i < repeats; ++i) {
         BenchResult r = run();
         if (r.events_per_sec() > best.events_per_sec())
             best = r;
@@ -188,14 +189,14 @@ main(int argc, char** argv)
 {
     std::string out = "BENCH_sim.json";
     std::uint64_t churn_events = 2'000'000;
-    int repeats = 3;
-    for (int i = 1; i + 1 < argc; i += 2) {
+    std::uint64_t repeats = 3;
+    for (int i = 1; i < argc; i += 2) {
         if (std::strcmp(argv[i], "--out") == 0) {
-            out = argv[i + 1];
+            out = bench::value_arg(argc, argv, i);
         } else if (std::strcmp(argv[i], "--churn-events") == 0) {
-            churn_events = std::strtoull(argv[i + 1], nullptr, 10);
+            churn_events = bench::u64_arg(argc, argv, i);
         } else if (std::strcmp(argv[i], "--repeat") == 0) {
-            repeats = std::max(1, std::atoi(argv[i + 1]));
+            repeats = bench::u64_arg(argc, argv, i);
         } else {
             std::fprintf(stderr,
                          "usage: sim_core_bench [--out PATH] "

@@ -8,7 +8,7 @@
  * loaded from JSON (real testbed measurements) or generated synthetically
  * by running the packet-level DES simulator over a traffic grid — the
  * repository's stand-in for a physical SmartNIC. Generation fans out
- * across the lognic::runner thread pool with per-point derived seeds, so
+ * across lognic::runner worker threads with per-point derived seeds, so
  * a generated dataset is bit-identical for any thread count.
  */
 #ifndef LOGNIC_CALIB_DATASET_HPP_

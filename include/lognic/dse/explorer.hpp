@@ -193,7 +193,7 @@ Evaluation evaluate_config(const DesignSpace& space, const Config& c,
  * journal replay decisions, prune rejections, and cache inserts all
  * happen on the caller thread in batch order, so hit/miss/eviction
  * counters are a pure function of the candidate stream; only the model
- * solves for first-seen configs fan out to the thread pool, in
+ * solves for first-seen configs fan out over runner::parallel_for, in
  * contiguous chunks that each reuse one incremental Materializer (bit-
  * identical to fresh evaluation per config, so chunking cannot perturb
  * results). Public so tests and the benchmark can drive batches — and

@@ -37,6 +37,8 @@
 #include <string>
 #include <string_view>
 
+#include "lognic/io/json.hpp"
+
 namespace lognic::io {
 
 /// Bumped on any incompatible change to frame or payload layout. Readers
@@ -104,6 +106,22 @@ std::string u64_to_hex(std::uint64_t value);
  * std::invalid_argument from the bowels of the parser.
  */
 std::uint64_t parse_u64(const std::string& text, const std::string& context);
+
+/**
+ * Strict unsigned integer field of a spec object: @p fallback when @p key
+ * is absent, else a JSON number that is a whole value in [0, 2^64), or a
+ * string parse_u64() accepts (the hex form keeps seeds exact above 2^53).
+ * @throws std::runtime_error naming "<context> field '<key>'" on anything
+ * else — a negative, fractional or too-large count never reaches a cast.
+ */
+std::uint64_t u64_field(const Json& obj, const std::string& key,
+                        std::uint64_t fallback, const std::string& context);
+
+/// u64_field() for a count or size.
+inline std::size_t size_field(const Json& obj, const std::string& key,
+                              std::size_t fallback, const std::string& context) {
+    return static_cast<std::size_t>(u64_field(obj, key, fallback, context));
+}
 
 } // namespace lognic::io
 

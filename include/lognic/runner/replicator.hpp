@@ -85,11 +85,6 @@ using TaskLookup = std::function<bool(std::size_t task, CompletedTask& out)>;
 /// exhausted-retries failure), from the worker thread that ran it.
 using TaskHook = std::function<void(std::size_t task, const CompletedTask&)>;
 
-struct ReplicatorHooks {
-    TaskLookup lookup;
-    TaskHook on_complete;
-};
-
 /// A replication whose simulation threw (see Replicator::run_guarded).
 struct FailedReplication {
     std::size_t replication{0};
@@ -124,6 +119,9 @@ class Replicator {
      * Run fn(seed) once per replication — across @p threads threads when
      * > 1 — and aggregate. Results are identical for any thread count:
      * each replication depends only on its derived seed.
+     *
+     * Fail-fast view of run_guarded: if any replication threw, the
+     * exception of the lowest-index failure is rethrown unchanged.
      */
     ReplicationResult run(const SimFn& fn, std::size_t threads = 1) const;
 
@@ -135,16 +133,6 @@ class Replicator {
      */
     GuardedReplication run_guarded(const SimFn& fn,
                                    std::size_t threads = 1) const;
-
-    /**
-     * run_guarded() with checkpoint/resume hooks: replications satisfied
-     * by hooks.lookup are replayed from their recorded outcome instead of
-     * being simulated; freshly-computed outcomes (including failures) are
-     * reported through hooks.on_complete. Empty hooks degrade to plain
-     * run_guarded().
-     */
-    GuardedReplication run_guarded(const SimFn& fn, std::size_t threads,
-                                   const ReplicatorHooks& hooks) const;
 
     /// Aggregate pre-computed results (results[i] came from seeds[i]).
     static ReplicationResult aggregate(

@@ -1,7 +1,7 @@
 /**
  * @file
  * Design-space sweeps: fan a grid of (device x app scenario x traffic x
- * option) points out across a thread pool, with N replications per point.
+ * option) points out across worker threads, with N replications per point.
  *
  * Determinism contract: every (point, replication) pair gets a seed that
  * is a pure function of (root_seed, point index, replication index) — see

@@ -1,72 +1,38 @@
 /**
  * @file
- * Fixed-size thread pool and a deterministic parallel-for.
+ * The runner's one worker loop: a deterministic parallel-for.
  *
- * Deliberately work-stealing-free: one shared FIFO task queue guarded by a
- * mutex. Simulation replications are coarse (milliseconds each), so queue
- * contention is negligible and the simple design keeps the scheduling
- * reasoning — and therefore the determinism argument — trivial: a task's
- * *result* may only depend on its arguments, never on which worker ran it
- * or in what order.
+ * There is no pool and no task queue. Each call starts its helper threads,
+ * the caller drains the same shared index alongside them, and every helper
+ * is joined before the call returns. Simulation replications and dse
+ * chunks are coarse (milliseconds each), so per-call thread start-up is
+ * negligible and the scheduling reasoning — and therefore the determinism
+ * argument — stays trivial: a body's *result* may only depend on its
+ * index, never on which thread ran it or in what order.
  */
 #ifndef LOGNIC_RUNNER_THREAD_POOL_HPP_
 #define LOGNIC_RUNNER_THREAD_POOL_HPP_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace lognic::runner {
 
-class ThreadPool {
-  public:
-    /// Spawn @p threads workers; 0 means std::thread::hardware_concurrency.
-    explicit ThreadPool(std::size_t threads);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    std::size_t size() const { return workers_.size(); }
-
-    /// Enqueue a task; it runs on some worker thread. Tasks may submit
-    /// further tasks.
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until the queue is empty and every worker is idle. If any task
-     * threw since the last wait, the *first* such exception is rethrown
-     * here (and cleared) — a throw inside a worker never escapes the
-     * worker thread, so it cannot std::terminate the process. Later
-     * exceptions from the same batch are dropped.
-     */
-    void wait_idle();
-
-  private:
-    void worker_loop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mu_;
-    std::condition_variable work_cv_;
-    std::condition_variable idle_cv_;
-    std::exception_ptr first_error_;
-    std::size_t active_{0};
-    bool stop_{false};
-};
+/// Upper bound on the threads one parallel_for uses, the caller included.
+/// Results never depend on the thread count, so the cap only bounds
+/// wall-clock parallelism (and keeps `--threads 100000` from starting
+/// 100000 threads).
+inline constexpr std::size_t kMaxWorkers = 64;
 
 /**
- * Run body(0), ..., body(n-1) across @p threads threads; threads <= 1 runs
- * serially on the caller. Indices are claimed dynamically from a shared
- * counter, so *which* thread runs an index is nondeterministic — bodies
- * must write results keyed by their index and depend only on it. The first
- * exception thrown by any body is rethrown on the caller once all work has
- * drained (remaining indices are skipped).
+ * Run body(0), ..., body(n-1) on min(threads, n, kMaxWorkers) threads:
+ * the caller plus that many minus one helpers; threads <= 1 runs serially
+ * and in order on the caller. Indices are claimed dynamically from a
+ * shared counter, so *which* thread runs an index is nondeterministic —
+ * bodies must write results keyed by their index and depend only on it.
+ * The first exception thrown by any body is rethrown on the caller once
+ * every helper has joined (remaining indices are skipped). A helper that
+ * fails to start surfaces as std::system_error, also after the join.
  */
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& body);

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "lognic/io/checkpoint.hpp"
+
 namespace lognic::check {
 
 namespace {
@@ -26,8 +28,7 @@ options_from_json(const io::Json& j)
     opts.duration = j.number_or("duration", opts.duration);
     opts.warmup_fraction =
         j.number_or("warmup_fraction", opts.warmup_fraction);
-    opts.seed =
-        static_cast<std::uint64_t>(j.number_or("seed", 42.0));
+    opts.seed = io::u64_field(j, "seed", 42, "check spec options");
     if (j.contains("exponential_service"))
         opts.exponential_service = j.at("exponential_service").as_bool();
     if (j.contains("poisson_arrivals"))

@@ -1,6 +1,5 @@
 #include "lognic/dse/spec.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "lognic/apps/nf_chain.hpp"
@@ -14,30 +13,6 @@ namespace {
 bad_spec(const std::string& why)
 {
     throw std::runtime_error("explore spec: " + why);
-}
-
-/// Accepts a plain JSON number or a hex string (the checkpoint u64
-/// convention), so seeds survive a round-trip above 2^53.
-std::uint64_t
-u64_field(const io::Json& j, const std::string& key, std::uint64_t fallback)
-{
-    if (!j.contains(key))
-        return fallback;
-    const io::Json& v = j.at(key);
-    if (v.is_string())
-        return io::parse_u64(v.as_string(), "explore spec field '" + key
-                                                + "'");
-    const double n = v.as_number();
-    if (!(n >= 0) || n != std::floor(n))
-        bad_spec("field '" + key + "' must be a non-negative integer");
-    return static_cast<std::uint64_t>(n);
-}
-
-std::size_t
-size_field(const io::Json& j, const std::string& key, std::size_t fallback)
-{
-    return static_cast<std::size_t>(
-        u64_field(j, key, static_cast<std::uint64_t>(fallback)));
 }
 
 io::Scenario
@@ -118,21 +93,24 @@ explore_spec_from_json(const io::Json& doc)
         opts.strategy = strategy_from_name(dse.at("strategy").as_string());
     if (dse.contains("prune"))
         opts.prune = prune_mode_from_name(dse.at("prune").as_string());
-    opts.seed = u64_field(dse, "seed", opts.seed);
-    opts.budget = size_field(dse, "budget", opts.budget);
-    opts.population = size_field(dse, "population", opts.population);
-    opts.generations = size_field(dse, "generations", opts.generations);
+    const std::string ctx = "explore spec";
+    opts.seed = io::u64_field(dse, "seed", opts.seed, ctx);
+    opts.budget = io::size_field(dse, "budget", opts.budget, ctx);
+    opts.population = io::size_field(dse, "population", opts.population, ctx);
+    opts.generations =
+        io::size_field(dse, "generations", opts.generations, ctx);
     opts.exhaustive_limit =
-        u64_field(dse, "exhaustive_limit", opts.exhaustive_limit);
+        io::u64_field(dse, "exhaustive_limit", opts.exhaustive_limit, ctx);
     opts.cache_capacity =
-        size_field(dse, "cache_capacity", opts.cache_capacity);
-    opts.cache_shards = size_field(dse, "cache_shards", opts.cache_shards);
+        io::size_field(dse, "cache_capacity", opts.cache_capacity, ctx);
+    opts.cache_shards =
+        io::size_field(dse, "cache_shards", opts.cache_shards, ctx);
     if (dse.contains("des")) {
         const io::Json& d = dse.at("des");
         if (d.contains("enabled"))
             opts.des.enabled = d.at("enabled").as_bool();
         opts.des.replications =
-            size_field(d, "replications", opts.des.replications);
+            io::size_field(d, "replications", opts.des.replications, ctx);
         opts.des.duration = d.number_or("duration", opts.des.duration);
         opts.des.warmup_fraction =
             d.number_or("warmup_fraction", opts.des.warmup_fraction);

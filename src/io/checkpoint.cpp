@@ -3,6 +3,7 @@
 #include <bit>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -232,6 +233,21 @@ std::uint64_t parse_u64(const std::string& text, const std::string& context) {
         value = value * base + digit;
     }
     return value;
+}
+
+std::uint64_t u64_field(const Json& obj, const std::string& key,
+                        std::uint64_t fallback, const std::string& context) {
+    if (!obj.contains(key)) return fallback;
+    const std::string field = context + " field '" + key + "'";
+    const Json& v = obj.at(key);
+    if (v.is_string()) return parse_u64(v.as_string(), field);
+    if (!v.is_number())
+        throw std::runtime_error(field + " must be a number or a string");
+    // 2^64 itself is a double; every double below it converts exactly.
+    const double n = v.as_number();
+    if (!(n >= 0.0) || n != std::floor(n) || n >= 0x1p64)
+        throw std::runtime_error(field + " must be an integer in [0, 2^64)");
+    return static_cast<std::uint64_t>(n);
 }
 
 } // namespace lognic::io

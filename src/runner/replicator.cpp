@@ -1,10 +1,11 @@
 #include "lognic/runner/replicator.hpp"
 
 #include <cmath>
+#include <exception>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
+#include "attempt.hpp"
 #include "lognic/runner/seed.hpp"
 #include "lognic/runner/thread_pool.hpp"
 
@@ -68,80 +69,56 @@ Replicator::seeds() const
     return out;
 }
 
+namespace {
+
+/// run_guarded's report plus the live exception of the lowest-index
+/// failure — what the fail-fast run() rethrows.
+std::pair<GuardedReplication, std::exception_ptr>
+guarded(const Replicator& rep, const Replicator::SimFn& fn,
+        std::size_t threads)
+{
+    if (rep.replications() == 0)
+        throw std::invalid_argument("Replicator: zero replications");
+    const auto seeds = rep.seeds();
+    std::vector<detail::Attempted> tasks(seeds.size());
+    parallel_for(seeds.size(), threads, [&](std::size_t i) {
+        tasks[i] = detail::attempt(fn, seeds[i], 0);
+    });
+
+    std::pair<GuardedReplication, std::exception_ptr> out;
+    std::vector<std::uint64_t> good_seeds;
+    std::vector<sim::SimResult> good_results;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        CompletedTask& t = tasks[i].task;
+        if (t.ok) {
+            good_seeds.push_back(t.seed);
+            good_results.push_back(std::move(t.result));
+            continue;
+        }
+        if (out.second == nullptr)
+            out.second = tasks[i].error;
+        out.first.failed.push_back(
+            FailedReplication{i, t.seed, std::move(t.error)});
+    }
+    out.first.stats = Replicator::aggregate(good_seeds, good_results);
+    return out;
+}
+
+} // namespace
+
 ReplicationResult
 Replicator::run(const SimFn& fn, std::size_t threads) const
 {
-    if (replications_ == 0)
-        throw std::invalid_argument("Replicator: zero replications");
-    const auto reps_seeds = seeds();
-    std::vector<sim::SimResult> results(replications_);
-    parallel_for(replications_, threads, [&](std::size_t i) {
-        results[i] = fn(reps_seeds[i]);
-    });
-    return aggregate(reps_seeds, results);
+    auto [out, first_error] = guarded(*this, fn, threads);
+    if (first_error)
+        std::rethrow_exception(first_error);
+    return std::move(out.stats);
 }
 
 GuardedReplication
 Replicator::run_guarded(const SimFn& fn, std::size_t threads) const
 {
-    return run_guarded(fn, threads, ReplicatorHooks{});
-}
-
-GuardedReplication
-Replicator::run_guarded(const SimFn& fn, std::size_t threads,
-                        const ReplicatorHooks& hooks) const
-{
-    if (replications_ == 0)
-        throw std::invalid_argument("Replicator: zero replications");
-    const auto reps_seeds = seeds();
-    std::vector<sim::SimResult> results(replications_);
-    std::vector<std::string> errors(replications_);
-    std::vector<char> ok(replications_, 0);
-    parallel_for(replications_, threads, [&](std::size_t i) {
-        if (hooks.lookup) {
-            CompletedTask done;
-            if (hooks.lookup(i, done)) {
-                // Replay the journaled outcome; no simulation, no hook.
-                ok[i] = done.ok ? 1 : 0;
-                results[i] = std::move(done.result);
-                errors[i] = std::move(done.error);
-                return;
-            }
-        }
-        try {
-            results[i] = fn(reps_seeds[i]);
-            ok[i] = 1;
-        } catch (const std::exception& e) {
-            errors[i] = e.what();
-        } catch (...) {
-            errors[i] = "unknown exception";
-        }
-        if (hooks.on_complete) {
-            CompletedTask done;
-            done.ok = ok[i] != 0;
-            done.seed = reps_seeds[i];
-            done.attempts = 1;
-            done.error = errors[i];
-            if (done.ok)
-                done.result = results[i];
-            hooks.on_complete(i, done);
-        }
-    });
-
-    GuardedReplication out;
-    std::vector<std::uint64_t> good_seeds;
-    std::vector<sim::SimResult> good_results;
-    for (std::size_t i = 0; i < replications_; ++i) {
-        if (ok[i]) {
-            good_seeds.push_back(reps_seeds[i]);
-            good_results.push_back(std::move(results[i]));
-        } else {
-            out.failed.push_back(
-                FailedReplication{i, reps_seeds[i], std::move(errors[i])});
-        }
-    }
-    out.stats = aggregate(good_seeds, good_results);
-    return out;
+    return guarded(*this, fn, threads).first;
 }
 
 ReplicationResult

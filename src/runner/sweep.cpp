@@ -1,10 +1,13 @@
 #include "lognic/runner/sweep.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
+#include "attempt.hpp"
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/runner/seed.hpp"
 #include "lognic/runner/thread_pool.hpp"
 
@@ -39,28 +42,10 @@ to_json(const Summary& s)
     return io::Json(std::move(o));
 }
 
-std::string
-hex_seed(std::uint64_t seed)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(seed));
-    return buf;
-}
-
-/// One (point, replication) slot of a guarded campaign.
-struct TaskOutcome {
-    sim::SimResult result;
-    bool ok{false};
-    std::uint64_t seed{0};     ///< seed of the last attempt made
-    std::size_t attempts{0};
-    std::string error;         ///< what() of the last failed attempt
-    std::exception_ptr eptr;
-};
-
 struct GuardedOutcome {
     SweepReport report;
-    /// Failure of the lowest (point, replication) — what run() rethrows.
+    /// Live exception of the lowest failing (point, replication) task;
+    /// null when that failure was replayed from a journal.
     std::exception_ptr first_error;
 };
 
@@ -68,101 +53,58 @@ GuardedOutcome
 run_guarded_impl(const std::vector<SweepPoint>& points,
                  const SweepOptions& options)
 {
-    const std::size_t reps = options.replications > 0
-        ? options.replications
-        : 1;
-    const std::size_t npoints = points.size();
-    std::vector<std::vector<TaskOutcome>> raw(
-        npoints, std::vector<TaskOutcome>(reps));
+    const std::size_t reps = std::max<std::size_t>(options.replications, 1);
+    std::vector<detail::Attempted> raw(points.size() * reps);
 
     // One task per (point, replication): replications of a slow point can
     // run alongside other points, and every outcome — including the retry
     // chain — is a pure function of the flattened index, never of the
     // executing thread or of other points' fates.
-    parallel_for(npoints * reps, options.threads, [&](std::size_t task) {
+    parallel_for(raw.size(), options.threads, [&](std::size_t task) {
+        // A journaled outcome (success or exhausted-retries failure) is
+        // replayed verbatim: no simulation, no completion hook.
+        if (options.resume_lookup
+            && options.resume_lookup(task, raw[task].task))
+            return;
         const std::size_t p = task / reps;
-        const std::size_t r = task % reps;
         const SweepPoint& pt = points[p];
-        TaskOutcome& out = raw[p][r];
-        if (options.resume_lookup) {
-            CompletedTask done;
-            if (options.resume_lookup(task, done)) {
-                // Journaled outcome (success or exhausted-retries failure):
-                // replay it verbatim. No simulation, no completion hook —
-                // the journal already has it.
-                out.ok = done.ok;
-                out.seed = done.seed;
-                out.attempts = done.attempts;
-                out.error = std::move(done.error);
-                out.result = std::move(done.result);
-                return;
-            }
-        }
-        const std::uint64_t seed0 =
-            derive_seed(derive_seed(options.root_seed, p), r);
-        for (std::size_t attempt = 0; attempt <= options.max_retries;
-             ++attempt) {
-            // Attempt 0 keeps the classic seed (so an empty retry budget
-            // reproduces historical results bit-for-bit); attempt k draws
-            // a fresh-but-deterministic derived seed.
-            out.seed = attempt == 0 ? seed0 : derive_seed(seed0, attempt);
-            out.attempts = attempt + 1;
+        const auto fn = [&pt](std::uint64_t seed) {
             sim::SimOptions so = pt.options;
-            so.seed = out.seed;
-            try {
-                out.result = sim::simulate(pt.hw, pt.graph, pt.traffic, so);
-                out.ok = true;
-                break;
-            } catch (const std::exception& e) {
-                out.error = e.what();
-                out.eptr = std::current_exception();
-            } catch (...) {
-                out.error = "unknown exception";
-                out.eptr = std::current_exception();
-            }
-        }
-        if (options.on_task_complete) {
-            CompletedTask done;
-            done.ok = out.ok;
-            done.seed = out.seed;
-            done.attempts = out.attempts;
-            done.error = out.error;
-            if (done.ok)
-                done.result = out.result;
-            options.on_task_complete(task, done);
-        }
+            so.seed = seed;
+            return sim::simulate(pt.hw, pt.graph, pt.traffic, so);
+        };
+        const std::uint64_t seed0 =
+            derive_seed(derive_seed(options.root_seed, p), task % reps);
+        raw[task] = detail::attempt(fn, seed0, options.max_retries);
+        if (options.on_task_complete)
+            options.on_task_complete(task, raw[task].task);
     });
 
     GuardedOutcome out;
-    for (std::size_t p = 0; p < npoints; ++p) {
-        const TaskOutcome* fail = nullptr;
-        std::size_t fail_r = 0;
-        for (std::size_t r = 0; r < reps; ++r) {
-            if (!raw[p][r].ok) {
-                fail = &raw[p][r];
-                fail_r = r;
-                break;
-            }
-        }
-        if (fail) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        std::size_t r = 0;
+        while (r < reps && raw[p * reps + r].task.ok)
+            ++r;
+        if (r < reps) {
+            const detail::Attempted& fail = raw[p * reps + r];
             FailedPoint f;
             f.index = p;
             f.label = points[p].label;
-            f.replication = fail_r;
-            f.seed = fail->seed;
-            f.attempts = fail->attempts;
-            f.error = fail->error;
+            f.replication = r;
+            f.seed = fail.task.seed;
+            f.attempts = fail.task.attempts;
+            f.error = fail.task.error;
+            if (out.report.failed.empty())
+                out.first_error = fail.error;
             out.report.failed.push_back(std::move(f));
-            if (!out.first_error)
-                out.first_error = fail->eptr;
             continue;
         }
         std::vector<std::uint64_t> seeds;
         std::vector<sim::SimResult> results;
         seeds.reserve(reps);
         results.reserve(reps);
-        for (std::size_t r = 0; r < reps; ++r) {
-            TaskOutcome& t = raw[p][r];
+        for (r = 0; r < reps; ++r) {
+            CompletedTask& t = raw[p * reps + r].task;
             if (t.result.truncated) {
                 TruncationRecord tr;
                 tr.index = p;
@@ -234,24 +176,18 @@ sweep_spec_from_json(const io::Json& doc)
         for (const auto& v : sw.at("packet_sizes").as_array())
             spec.packet_sizes_bytes.push_back(v.as_number());
     }
-    spec.options.replications = static_cast<std::size_t>(
-        sw.number_or("replications", 1.0));
-    spec.options.threads = static_cast<std::size_t>(
-        sw.number_or("threads", 1.0));
-    spec.options.root_seed = static_cast<std::uint64_t>(
-        sw.number_or("root_seed", 42.0));
+    const std::string ctx = "sweep spec";
+    spec.options.replications = io::size_field(sw, "replications", 1, ctx);
+    spec.options.threads = io::size_field(sw, "threads", 1, ctx);
+    spec.options.root_seed = io::u64_field(sw, "root_seed", 42, ctx);
+    spec.options.max_retries = io::size_field(sw, "max_retries", 0, ctx);
+    spec.sim.watchdog.max_events = io::u64_field(sw, "max_sim_events", 0, ctx);
     spec.sim.duration = sw.number_or("duration", spec.sim.duration);
     spec.sim.warmup_fraction =
         sw.number_or("warmup_fraction", spec.sim.warmup_fraction);
-    const double retries = sw.number_or("max_retries", 0.0);
-    const double max_events = sw.number_or("max_sim_events", 0.0);
     const double deadline = sw.number_or("deadline_seconds", 0.0);
-    if (retries < 0.0 || max_events < 0.0 || deadline < 0.0)
-        throw std::runtime_error(
-            "sweep spec: max_retries/max_sim_events/deadline_seconds "
-            "must be >= 0");
-    spec.options.max_retries = static_cast<std::size_t>(retries);
-    spec.sim.watchdog.max_events = static_cast<std::uint64_t>(max_events);
+    if (deadline < 0.0)
+        throw std::runtime_error("sweep spec: deadline_seconds must be >= 0");
     spec.sim.watchdog.wall_clock_seconds = deadline;
     if (sw.contains("faults"))
         spec.sim.faults = fault::fault_plan_from_json(sw.at("faults"));
@@ -307,7 +243,7 @@ to_json(const PointResult& result)
               io::Json(static_cast<double>(result.stats.degenerate)));
     io::JsonArray seeds;
     for (std::uint64_t s : result.stats.seeds)
-        seeds.emplace_back(hex_seed(s));
+        seeds.emplace_back(io::u64_to_hex(s));
     o.emplace("seeds", io::Json(std::move(seeds)));
     o.emplace("delivered_gbps", to_json(result.stats.delivered_gbps));
     o.emplace("delivered_mops", to_json(result.stats.delivered_mops));
@@ -341,7 +277,7 @@ to_json(const FailedPoint& failure)
     o.emplace("label", io::Json(failure.label));
     o.emplace("replication",
               io::Json(static_cast<double>(failure.replication)));
-    o.emplace("seed", io::Json(hex_seed(failure.seed)));
+    o.emplace("seed", io::Json(io::u64_to_hex(failure.seed)));
     o.emplace("attempts", io::Json(static_cast<double>(failure.attempts)));
     o.emplace("error", io::Json(failure.error));
     return io::Json(std::move(o));
@@ -355,7 +291,7 @@ to_json(const TruncationRecord& record)
     o.emplace("label", io::Json(record.label));
     o.emplace("replication",
               io::Json(static_cast<double>(record.replication)));
-    o.emplace("seed", io::Json(hex_seed(record.seed)));
+    o.emplace("seed", io::Json(io::u64_to_hex(record.seed)));
     o.emplace("reason", io::Json(record.reason));
     o.emplace("sim_time_reached", io::Json(record.sim_time_reached));
     return io::Json(std::move(o));

@@ -8,8 +8,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "lognic/apps/inline_accel.hpp"
 #include "lognic/calib/calibrator.hpp"
+#include "lognic/calib/spec.hpp"
 
 namespace lognic::calib {
 namespace {
@@ -155,6 +159,28 @@ TEST(CalibEndToEnd, CalibratorValidatesItsInputs)
     one_fold.k_folds = 1;
     EXPECT_THROW(Calibrator(rt.space, rt.data, one_fold),
                  std::invalid_argument);
+}
+
+TEST(CalibSpec, IntegerFieldsAreStrictAndNameTheField)
+{
+    // A negative seed is an error naming "seed", never a cast of -3.0 to
+    // an unsigned integer.
+    const auto sc =
+        apps::make_inline_accel(devices::LiquidIoKernel::kMd5, 16);
+    io::Json doc = io::Json::parse(sample_calib_spec(
+        io::Scenario{sc.hw, sc.graph,
+                     core::TrafficProfile::fixed(
+                         Bytes{1024}, devices::liquidio_line_rate())}));
+    io::Json calib = doc.at("calib");
+    calib.set("seed", io::Json(-3.0));
+    doc.set("calib", std::move(calib));
+    try {
+        calib_spec_from_json(doc);
+        FAIL() << "seed = -3 was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

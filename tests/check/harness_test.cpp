@@ -10,6 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check_test_helpers.hpp"
@@ -100,6 +103,21 @@ TEST(Corpus, EntriesLoadAndRoundTrip)
         std::stringstream buf;
         buf << in.rdbuf();
         EXPECT_EQ(to_json(entry).dump(2) + "\n", buf.str()) << path;
+    }
+}
+
+TEST(Corpus, NegativeSeedIsRejectedNamingTheField)
+{
+    io::Json doc = to_json(load_entry(corpus_files().front()));
+    io::Json options = doc.at("options");
+    options.set("seed", io::Json(-3.0));
+    doc.set("options", std::move(options));
+    try {
+        corpus_entry_from_json(doc);
+        FAIL() << "seed = -3 was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos)
+            << e.what();
     }
 }
 

@@ -129,6 +129,31 @@ TEST(HexCodec, U64RoundTripsAndParsesStrictly)
     }
 }
 
+TEST(HexCodec, U64FieldAcceptsWholeNumbersAndStringsOnly)
+{
+    const io::Json j = io::Json::parse(
+        R"({"n": 7, "hex": "0xffffffffffffffff", "top": 18446744073709549568,
+            "neg": -3, "frac": 2.5, "huge": 1e30, "two64": 18446744073709551616,
+            "flag": true})");
+    EXPECT_EQ(io::u64_field(j, "n", 1, "t"), 7u);
+    EXPECT_EQ(io::u64_field(j, "absent", 9, "t"), 9u);
+    EXPECT_EQ(io::u64_field(j, "hex", 0, "t"),
+              std::numeric_limits<std::uint64_t>::max());
+    // The largest double below 2^64 converts exactly; 2^64 itself does not.
+    EXPECT_EQ(io::u64_field(j, "top", 0, "t"), 18446744073709549568ull);
+    for (const char* key : {"neg", "frac", "huge", "two64", "flag"}) {
+        try {
+            io::u64_field(j, key, 0, "test spec");
+            FAIL() << key << " was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("test spec field '") + key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(HexCodec, ParseU64RejectsSignsOctalPrefixAndHexGarbage)
 {
     // The hand-rolled parser (replacing raw std::stoull) must reject

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "lognic/runner/seed.hpp"
 
@@ -182,6 +183,30 @@ TEST(Replicator, RunGuardedWithNoFailuresMatchesRun)
     EXPECT_EQ(guarded.stats.seeds, plain.seeds);
     EXPECT_DOUBLE_EQ(guarded.stats.delivered_gbps.mean,
                      plain.delivered_gbps.mean);
+}
+
+TEST(Replicator, RunRethrowsTheLowestIndexFailure)
+{
+    // Two replications fail with different messages; fail-fast run()
+    // surfaces replication 2's exception whatever the thread count, never
+    // replication 5's (even when a worker reaches 5 first).
+    const Replicator rep(8, 3);
+    const auto seeds = rep.seeds();
+    auto fn = [&seeds](std::uint64_t seed) -> sim::SimResult {
+        if (seed == seeds[5])
+            throw std::runtime_error("replication five");
+        if (seed == seeds[2])
+            throw std::runtime_error("replication two");
+        return fake_result(10.0, 5.0, 100);
+    };
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        try {
+            rep.run(fn, threads);
+            FAIL() << "expected runtime_error at " << threads << " threads";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "replication two") << threads;
+        }
+    }
 }
 
 TEST(Replicator, ZeroReplicationsThrows)

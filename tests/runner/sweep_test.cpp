@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "lognic/apps/inline_accel.hpp"
 #include "lognic/io/serialize.hpp"
+#include "lognic/runner/seed.hpp"
 #include "../test_helpers.hpp"
 
 namespace lognic::runner {
@@ -270,6 +274,75 @@ TEST(SweepSpec, ParsesGuardRailKnobs)
     bad_root["sweep"] = io::Json(std::move(bad_sw));
     EXPECT_THROW(sweep_spec_from_json(io::Json(std::move(bad_root))),
                  std::runtime_error);
+}
+
+TEST(SweepSpec, IntegerKnobsAreStrictAndNameTheField)
+{
+    // Counts and seeds go through io::u64_field: a negative, fractional or
+    // out-of-range number is an error naming the field, never a cast.
+    const std::pair<const char*, double> bad[] = {
+        {"replications", -1.0}, {"threads", 2.5}, {"root_seed", 1e30}};
+    for (const auto& [key, value] : bad) {
+        io::Json doc = io::Json::parse(sample_sweep_spec(tiny_scenario()));
+        io::Json sw = doc.at("sweep");
+        sw.set(key, io::Json(value));
+        doc.set("sweep", std::move(sw));
+        try {
+            sweep_spec_from_json(doc);
+            FAIL() << key << " = " << value << " was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Sweep, OnePointMatchesReplicatorRunGuarded)
+{
+    // Sweep's (point, replication) tasks and Replicator's replications run
+    // through the same guarded body: a one-point sweep is exactly a
+    // Replicator rooted at the point's derived seed.
+    const io::Scenario sc = tiny_scenario();
+    SweepPoint pt{"only", sc.hw, sc.graph, sc.traffic, {}};
+    pt.options.duration = 0.002;
+    Sweep sweep;
+    sweep.add(pt);
+    SweepOptions so;
+    so.replications = 3;
+    so.root_seed = 11;
+    so.threads = 2;
+    const SweepReport report = sweep.run_guarded(so);
+    ASSERT_TRUE(report.complete());
+    ASSERT_EQ(report.results.size(), 1u);
+    const ReplicationResult& a = report.results[0].stats;
+
+    const Replicator rep(so.replications, derive_seed(so.root_seed, 0));
+    const GuardedReplication guarded = rep.run_guarded(
+        [&pt](std::uint64_t seed) {
+            sim::SimOptions opts = pt.options;
+            opts.seed = seed;
+            return sim::simulate(pt.hw, pt.graph, pt.traffic, opts);
+        },
+        2);
+    ASSERT_TRUE(guarded.complete());
+    const ReplicationResult& b = guarded.stats;
+
+    EXPECT_EQ(a.seeds, b.seeds);
+    EXPECT_EQ(a.replications, b.replications);
+    EXPECT_EQ(a.degenerate, b.degenerate);
+    const auto same = [](const Summary& x, const Summary& y) {
+        EXPECT_EQ(x.n, y.n);
+        EXPECT_EQ(x.mean, y.mean);
+        EXPECT_EQ(x.stddev, y.stddev);
+        EXPECT_EQ(x.ci_half, y.ci_half);
+    };
+    same(a.delivered_gbps, b.delivered_gbps);
+    same(a.delivered_mops, b.delivered_mops);
+    same(a.mean_latency_us, b.mean_latency_us);
+    same(a.p50_latency_us, b.p50_latency_us);
+    same(a.p99_latency_us, b.p99_latency_us);
+    same(a.drop_rate, b.drop_rate);
+    EXPECT_EQ(a.metrics.to_json().dump(), b.metrics.to_json().dump());
 }
 
 } // namespace

@@ -3,42 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace lognic::runner {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, TasksMaySubmitTasks)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&] {
-        ++count;
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&count] { ++count; });
-    });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns)
-{
-    ThreadPool pool(2);
-    pool.wait_idle(); // no tasks: must not hang
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
@@ -84,39 +58,30 @@ TEST(ParallelFor, RethrowsFirstException)
     }
 }
 
-TEST(ThreadPool, WaitIdleRethrowsTaskExceptionAndPoolStaysUsable)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task blew up"); });
-    try {
-        pool.wait_idle();
-        FAIL() << "expected runtime_error";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "task blew up");
-    }
-    // The stored exception was consumed; the pool keeps working.
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, OnlyFirstExceptionSurvivesABatch)
-{
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i)
-        pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    // Later exceptions from the same batch were dropped, not queued up.
-    pool.wait_idle();
-}
-
 TEST(ParallelFor, MoreThreadsThanWorkIsFine)
 {
     std::vector<std::atomic<int>> hits(3);
     parallel_for(hits.size(), 16, [&](std::size_t i) { ++hits[i]; });
     for (const auto& h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, WorkerCountIsCapped)
+{
+    // An absurd thread request must not start one thread per index: the
+    // caller plus its helpers never exceed kMaxWorkers.
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    std::vector<std::atomic<int>> hits(128);
+    parallel_for(hits.size(), SIZE_MAX, [&](std::size_t i) {
+        ++hits[i];
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+    });
+    for (const auto& h : hits)
+        EXPECT_EQ(h.load(), 1);
+    EXPECT_LE(ids.size(), kMaxWorkers);
+    EXPECT_EQ(kMaxWorkers, 64u);
 }
 
 } // namespace

@@ -600,7 +600,7 @@ cmd_check(int argc, char** argv)
     return report.violations == 0 ? 0 : 1;
 }
 
-/// Spec-driven sweep: grid x replications fanned over a thread pool,
+/// Spec-driven sweep: grid x replications fanned over worker threads,
 /// per-point aggregates (mean / stddev / 95% CI) emitted as JSON. Runs
 /// guarded: a point that throws or trips the watchdog becomes a record in
 /// the "failed"/"truncated" arrays instead of killing the campaign (exit
