@@ -72,10 +72,12 @@ struct LatencyEstimate {
 /**
  * Estimate latency for one packet class of @p traffic.
  *
- * Validates the graph; throws std::invalid_argument on malformed input.
- * An optional @p scratch reuses cached topology artifacts and per-vertex
- * analyses across solves over small deltas (bit-identical results; see
- * solve_scratch.hpp for the invalidation contract).
+ * Validates the graph once, then solves through @p scratch (a local one
+ * when null); throws std::invalid_argument on malformed input or a path
+ * explosion. A caller-owned scratch reuses cached topology artifacts,
+ * paths and per-vertex analyses across solves over small deltas
+ * (bit-identical results; see solve_scratch.hpp for the invalidation
+ * contract).
  */
 LatencyEstimate estimate_latency(const ExecutionGraph& graph,
                                  const HardwareModel& hw,

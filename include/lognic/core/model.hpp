@@ -55,11 +55,14 @@ class Model {
     const HardwareModel& hardware() const { return hw_; }
 
     /**
-     * The optional @p scratch caches topology artifacts and per-vertex
-     * analyses across repeated solves over small scenario deltas
-     * (bit-identical results; single-class profiles only — mixed
-     * profiles partition queues per class and ignore the scratch). The
-     * caller owns invalidation; see solve_scratch.hpp.
+     * One per-class pass: each class's graph is validated once and its
+     * solves share one core::SolveScratch. throughput() and latency() are
+     * projections of estimate()'s pass. The optional @p scratch caches
+     * topology artifacts and per-vertex analyses across repeated solves
+     * over small scenario deltas (bit-identical results; single-class
+     * profiles only — mixed profiles partition queues per class and
+     * solve each copy with a local scratch). The caller owns
+     * invalidation; see solve_scratch.hpp.
      */
     ThroughputReport throughput(const ExecutionGraph& graph,
                                 const TrafficProfile& traffic,

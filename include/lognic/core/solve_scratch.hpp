@@ -1,32 +1,28 @@
 /**
  * @file
- * Reusable solve state for repeated Model::estimate calls over small
- * scenario deltas (the dse incremental-evaluation fast path).
+ * The solve state every throughput/latency solve reads (Eq. 1-12):
  *
- * The throughput and latency models recompute, on every call, a set of
- * artifacts that depend only on slow-moving parts of the scenario:
- *
- *   - topology artifacts (topological order, ingress->egress paths,
- *     per-vertex out-edge lists, in-delta sums, ingress/egress lists)
- *     depend only on the graph's vertex/edge structure and edge params;
+ *   - topology artifacts (topological order, per-vertex out-edge lists,
+ *     in-delta sums, ingress/egress lists, and the ingress->egress paths,
+ *     enumerated for the latency walk only) depend only on the graph's
+ *     vertex/edge structure and edge params;
  *   - per-vertex operating points (analyze_vertex) depend on that
  *     vertex's params, the hardware catalog, and the traffic profile.
  *
- * A SolveScratch caches both layers. The *caller* owns invalidation: it
- * knows which knob changed between solves and calls invalidate() /
- * invalidate_analyses() / invalidate_vertex() accordingly (see
- * dse::Materializer for the mapping). Cached entries are the outputs of
- * the same pure functions the scratch-free path calls on identical
- * inputs, so a scratch-assisted solve is bit-identical to a fresh one —
- * the property the dse byte-identity gates rest on.
- *
- * The cache covers single-class traffic only; mixed profiles take the
- * general path (Model ignores the scratch for them).
+ * A caller that passes no scratch gets a local one; Model::estimate
+ * shares one between both models. A caller-owned scratch (see
+ * dse::Materializer) keeps both layers across solves over small deltas,
+ * and the caller owns invalidation: it knows which knob changed and calls
+ * invalidate() / invalidate_analyses() / invalidate_vertex(). Entries are
+ * outputs of the same pure functions on identical inputs, so a warm
+ * scratch, a fresh one and none are bit-identical -- the property the dse
+ * byte-identity gates rest on. Validation is never cached: the models
+ * validate once per estimate. One scratch serves one (graph, traffic
+ * class); Model gives each class of a mixed profile a local one.
  */
 #ifndef LOGNIC_CORE_SOLVE_SCRATCH_HPP_
 #define LOGNIC_CORE_SOLVE_SCRATCH_HPP_
 
-#include <cstdint>
 #include <vector>
 
 #include "lognic/core/execution_graph.hpp"
@@ -39,27 +35,26 @@ class SolveScratch {
   public:
     /// Drop everything (graph structure or edges changed / new scenario).
     void invalidate();
-    /// Keep topology; drop every cached vertex analysis (hardware catalog
-    /// or traffic profile changed).
+    /// Keep topology; drop every cached analysis (catalog/traffic changed).
     void invalidate_analyses();
-    /// Keep topology; drop one vertex's cached analysis (its params
-    /// changed).
+    /// Keep topology; drop @p v's cached analysis (its params changed).
     void invalidate_vertex(VertexId v);
 
     /// (Re)build the topology artifacts when stale. Called by the models.
     void ensure_topology(const ExecutionGraph& graph);
+    /// ensure_topology(), then enumerate the paths once per topology (the
+    /// latency walk only; throws on a path explosion).
+    void ensure_paths(const ExecutionGraph& graph);
 
-    /**
-     * Cached analyze_vertex(). Precondition: ensure_topology() ran for
-     * this graph and the cached entry (if valid) was computed against
-     * value-identical (graph params, hw, traffic) inputs.
-     */
+    /// Cached analyze_vertex(). Precondition: a valid cached entry was
+    /// computed against value-identical (graph params, hw, traffic) inputs.
     const VertexAnalysis& vertex_analysis(const ExecutionGraph& graph,
                                           const HardwareModel& hw, VertexId v,
                                           const TrafficProfile& traffic,
                                           std::size_t class_index);
 
-    bool topology_valid() const { return topo_valid_; }
+    /// Accessors; precondition: ensure_topology() (paths(): ensure_paths())
+    /// ran for this graph.
     const std::vector<VertexId>& topological_order() const
     {
         return topo_order_;
@@ -73,13 +68,9 @@ class SolveScratch {
     const std::vector<VertexId>& ingresses() const { return ingresses_; }
     const std::vector<VertexId>& egresses() const { return egresses_; }
 
-    /// Cache effectiveness counters (bench/telemetry only).
-    std::uint64_t analysis_hits() const { return analysis_hits_; }
-    std::uint64_t analysis_misses() const { return analysis_misses_; }
-    std::uint64_t topology_builds() const { return topology_builds_; }
-
   private:
     bool topo_valid_{false};
+    bool paths_valid_{false};
     std::vector<VertexId> topo_order_;
     std::vector<ExecutionGraph::Path> paths_;
     std::vector<std::vector<EdgeId>> out_edges_;
@@ -88,9 +79,6 @@ class SolveScratch {
     std::vector<VertexId> egresses_;
     std::vector<char> analysis_valid_;
     std::vector<VertexAnalysis> analyses_;
-    std::uint64_t analysis_hits_{0};
-    std::uint64_t analysis_misses_{0};
-    std::uint64_t topology_builds_{0};
 };
 
 } // namespace lognic::core

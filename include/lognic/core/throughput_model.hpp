@@ -59,10 +59,11 @@ struct ThroughputEstimate {
 /**
  * Estimate throughput for one packet class of @p traffic.
  *
- * Validates the graph first; throws std::invalid_argument on a malformed
- * graph or out-of-range class index. An optional @p scratch reuses cached
- * topology artifacts and per-vertex analyses across solves over small
- * deltas (bit-identical results; see solve_scratch.hpp).
+ * Validates the graph once, then solves through @p scratch (a local one
+ * when null); throws std::invalid_argument on a malformed graph or
+ * out-of-range class index. A caller-owned scratch reuses cached topology
+ * artifacts and per-vertex analyses across solves over small deltas
+ * (bit-identical results; see solve_scratch.hpp). Never enumerates paths.
  */
 ThroughputEstimate estimate_throughput(const ExecutionGraph& graph,
                                        const HardwareModel& hw,

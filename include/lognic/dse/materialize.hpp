@@ -58,9 +58,6 @@ class Materializer {
      */
     std::uint64_t hw_epoch() const { return hw_epoch_; }
 
-    std::uint64_t full_builds() const { return full_builds_; }
-    std::uint64_t patched_knobs() const { return patched_knobs_; }
-
   private:
     void build_full(const Config& c);
 
@@ -69,8 +66,6 @@ class Materializer {
     std::optional<Config> current_;
     core::SolveScratch scratch_;
     std::uint64_t hw_epoch_{0};
-    std::uint64_t full_builds_{0};
-    std::uint64_t patched_knobs_{0};
 };
 
 } // namespace lognic::dse

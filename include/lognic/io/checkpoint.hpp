@@ -117,6 +117,13 @@ std::uint64_t parse_u64(const std::string& text, const std::string& context);
 std::uint64_t u64_field(const Json& obj, const std::string& key,
                         std::uint64_t fallback, const std::string& context);
 
+/**
+ * The JSON form u64_field() reads back exactly: a number below 2^53
+ * (every such integer is an exact double), the u64_to_hex() string at or
+ * above it.
+ */
+Json u64_json(std::uint64_t value);
+
 /// u64_field() for a count or size.
 inline std::size_t size_field(const Json& obj, const std::string& key,
                               std::size_t fallback, const std::string& context) {

@@ -14,7 +14,7 @@ options_to_json(const sim::SimOptions& opts, bool monotonicity)
     io::Json j;
     j.set("duration", opts.duration);
     j.set("warmup_fraction", opts.warmup_fraction);
-    j.set("seed", static_cast<double>(opts.seed));
+    j.set("seed", io::u64_json(opts.seed));
     j.set("exponential_service", opts.exponential_service);
     j.set("poisson_arrivals", opts.poisson_arrivals);
     j.set("monotonicity", monotonicity);
@@ -172,7 +172,7 @@ to_json(const CheckReport& report)
     for (const auto& f : report.failures) {
         io::Json fj;
         fj.set("name", f.name);
-        fj.set("generator_seed", static_cast<double>(f.generator_seed));
+        fj.set("generator_seed", io::u64_json(f.generator_seed));
         fj.set("single_queue", f.single_queue);
         io::Json vs;
         for (const auto& v : f.violations)

@@ -249,59 +249,68 @@ ExecutionGraph::validate(const HardwareModel& hw) const
 
     (void)topological_order(); // throws on cycles
 
+    // Degrees in one pass; the error prefixes are built only on the
+    // failing branch.
+    std::vector<std::size_t> in_degree(vertices_.size(), 0);
+    std::vector<std::size_t> out_degree(vertices_.size(), 0);
+    for (const auto& e : edges_) {
+        ++out_degree[e.from];
+        ++in_degree[e.to];
+    }
     for (std::size_t i = 0; i < vertices_.size(); ++i) {
         const auto& v = vertices_[i];
-        const std::string where =
-            "ExecutionGraph '" + name_ + "' vertex '" + v.name + "': ";
+        const auto fail = [&](const std::string& what) {
+            return std::invalid_argument("ExecutionGraph '" + name_
+                                         + "' vertex '" + v.name + "': "
+                                         + what);
+        };
         if (v.kind == VertexKind::kIp) {
             if (v.ip >= hw.ip_count())
-                throw std::invalid_argument(
-                    where + "references IP id " + std::to_string(v.ip)
-                    + ", but hardware model '" + hw.name() + "' has only "
-                    + std::to_string(hw.ip_count()) + " IPs");
+                throw fail("references IP id " + std::to_string(v.ip)
+                           + ", but hardware model '" + hw.name()
+                           + "' has only " + std::to_string(hw.ip_count())
+                           + " IPs");
             const auto& spec = hw.ip(v.ip);
             if (v.params.parallelism > spec.max_engines)
-                throw std::invalid_argument(
-                    where + "parallelism "
-                    + std::to_string(v.params.parallelism)
-                    + " exceeds IP '" + spec.name + "' max_engines "
-                    + std::to_string(spec.max_engines));
+                throw fail("parallelism "
+                           + std::to_string(v.params.parallelism)
+                           + " exceeds IP '" + spec.name + "' max_engines "
+                           + std::to_string(spec.max_engines));
             if (!(v.params.partition > 0.0) || v.params.partition > 1.0)
-                throw std::invalid_argument(
-                    where + "partition must be in (0, 1]");
+                throw fail("partition must be in (0, 1]");
             if (!(v.params.acceleration > 0.0))
-                throw std::invalid_argument(
-                    where + "acceleration must be positive");
+                throw fail("acceleration must be positive");
             if (v.params.overhead.seconds() < 0.0)
-                throw std::invalid_argument(where + "negative overhead");
+                throw fail("negative overhead");
         }
         const bool needs_input = v.kind != VertexKind::kIngress;
         const bool needs_output = v.kind != VertexKind::kEgress;
-        if (needs_input && in_edges(static_cast<VertexId>(i)).empty())
-            throw std::invalid_argument(where + "unreachable (no in-edges)");
-        if (needs_output && out_edges(static_cast<VertexId>(i)).empty())
-            throw std::invalid_argument(where + "dead end (no out-edges)");
-        if (v.kind == VertexKind::kIngress
-            && !in_edges(static_cast<VertexId>(i)).empty())
-            throw std::invalid_argument(where + "ingress cannot have inputs");
-        if (v.kind == VertexKind::kEgress
-            && !out_edges(static_cast<VertexId>(i)).empty())
-            throw std::invalid_argument(where + "egress cannot have outputs");
+        if (needs_input && in_degree[i] == 0)
+            throw fail("unreachable (no in-edges)");
+        if (needs_output && out_degree[i] == 0)
+            throw fail("dead end (no out-edges)");
+        if (v.kind == VertexKind::kIngress && in_degree[i] != 0)
+            throw fail("ingress cannot have inputs");
+        if (v.kind == VertexKind::kEgress && out_degree[i] != 0)
+            throw fail("egress cannot have outputs");
     }
 
     for (const auto& e : edges_) {
-        const std::string where = "ExecutionGraph '" + name_ + "' edge "
-            + vertices_[e.from].name + "->" + vertices_[e.to].name + ": ";
+        const auto fail = [&](const std::string& what) {
+            return std::invalid_argument(
+                "ExecutionGraph '" + name_ + "' edge "
+                + vertices_[e.from].name + "->" + vertices_[e.to].name
+                + ": " + what);
+        };
         const auto& p = e.params;
         if (p.delta < 0.0 || p.delta > 1.0 || !std::isfinite(p.delta))
-            throw std::invalid_argument(where + "delta must be in [0, 1]");
+            throw fail("delta must be in [0, 1]");
         if (p.alpha < 0.0 || !std::isfinite(p.alpha))
-            throw std::invalid_argument(where + "alpha must be >= 0");
+            throw fail("alpha must be >= 0");
         if (p.beta < 0.0 || !std::isfinite(p.beta))
-            throw std::invalid_argument(where + "beta must be >= 0");
+            throw fail("beta must be >= 0");
         if (p.dedicated_bw && p.dedicated_bw->bits_per_sec() <= 0.0)
-            throw std::invalid_argument(
-                where + "dedicated bandwidth must be positive");
+            throw fail("dedicated bandwidth must be positive");
     }
 }
 

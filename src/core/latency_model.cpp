@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
-#include "lognic/core/solve_scratch.hpp"
-#include "lognic/core/vertex_analysis.hpp"
 #include "lognic/queueing/mg1.hpp"
-#include "lognic/solver/special.hpp"
 #include "lognic/queueing/mm1n.hpp"
+#include "lognic/solver/special.hpp"
+#include "solve.hpp"
 
 namespace lognic::core {
 
@@ -60,10 +59,18 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
                  const TrafficProfile& traffic, std::size_t class_index,
                  SolveScratch* scratch)
 {
-    // Re-validated even with a warm scratch; see estimate_throughput.
     graph.validate(hw);
-    if (scratch != nullptr)
-        scratch->ensure_topology(graph);
+    SolveScratch local;
+    return detail::solve_latency(graph, hw, traffic, class_index,
+                                 scratch ? *scratch : local);
+}
+
+LatencyEstimate
+detail::solve_latency(const ExecutionGraph& graph, const HardwareModel& hw,
+                      const TrafficProfile& traffic, std::size_t class_index,
+                      SolveScratch& scratch)
+{
+    scratch.ensure_topology(graph);
 
     const Bytes g_in = traffic.granularity(class_index);
     const Bandwidth bw_in = traffic.ingress_bandwidth();
@@ -74,27 +81,23 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
     // network. Without the thinning, chained overloaded vertices would
     // each be charged the full offered load and drops would be double
     // counted.
-    std::vector<VertexAnalysis> analysis(graph.vertex_count());
     std::vector<Seconds> queue_delay(graph.vertex_count(), Seconds{0.0});
-    std::vector<double> drop_prob(graph.vertex_count(), 0.0);
-    // inflow[v]: fraction of W arriving at v; survived[v]: fraction of W
-    // leaving v after its own drops.
+    // inflow[v]: fraction of W arriving at v.
     std::vector<double> inflow(graph.vertex_count(), 0.0);
-    std::vector<double> survived(graph.vertex_count(), 0.0);
     // Vertices bound to an IP with an empirical sojourn curve (S4.7) get
     // their whole (queueing + service) time from the curve; the curve's
     // value replaces the compute term and Q is folded in.
     std::vector<Seconds> sojourn_override(graph.vertex_count(),
                                           Seconds{-1.0});
 
-    const std::vector<VertexId> ingresses = scratch != nullptr
-        ? scratch->ingresses()
-        : graph.ingress_vertices();
+    const std::vector<VertexId>& ingresses = scratch.ingresses();
+    const std::vector<std::vector<EdgeId>>& out_edges =
+        scratch.out_edge_lists();
     {
         double total = 0.0;
         std::vector<double> shares(ingresses.size(), 0.0);
         for (std::size_t i = 0; i < ingresses.size(); ++i) {
-            for (EdgeId e : graph.out_edges(ingresses[i]))
+            for (EdgeId e : out_edges[ingresses[i]])
                 shares[i] += graph.edge(e).params.delta;
             total += shares[i];
         }
@@ -106,18 +109,14 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
     }
 
     LatencyEstimate est;
-    const std::vector<VertexId> topo_order = scratch != nullptr
-        ? scratch->topological_order()
-        : graph.topological_order();
-    for (VertexId v : topo_order) {
-        analysis[v] = scratch != nullptr
-            ? scratch->vertex_analysis(graph, hw, v, traffic, class_index)
-            : analyze_vertex(graph, hw, v, traffic, class_index);
+    for (VertexId v : scratch.topological_order()) {
+        const VertexAnalysis& va =
+            scratch.vertex_analysis(graph, hw, v, traffic, class_index);
         const Vertex& vx = graph.vertex(v);
         const double nominal = vx.kind == VertexKind::kIngress
             ? inflow[v]
-            : (scratch != nullptr ? scratch->in_delta_sum(v)
-                                  : graph.in_delta_sum(v));
+            : scratch.in_delta_sum(v);
+        double survived = inflow[v]; // fraction of W leaving v after drops
 
         if (vx.kind == VertexKind::kIp
             && hw.ip(vx.ip).sojourn_curve != nullptr) {
@@ -126,24 +125,21 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
             const double lambda =
                 bw_in.bits_per_sec() * inflow[v] / g_in.bits();
             sojourn_override[v] = hw.ip(vx.ip).sojourn_curve(lambda);
-            survived[v] = inflow[v];
         } else {
             const double thinning =
                 nominal > 0.0 ? inflow[v] / nominal : 0.0;
             const double scv = vx.kind == VertexKind::kIp
                 ? hw.ip(vx.ip).service_scv
                 : 1.0;
-            queue_delay[v] = queueing_delay(analysis[v], thinning, scv,
-                                            drop_prob[v]);
+            double drop = 0.0;
+            queue_delay[v] = queueing_delay(va, thinning, scv, drop);
             est.max_drop_probability =
-                std::max(est.max_drop_probability, drop_prob[v]);
-            survived[v] = inflow[v] * (1.0 - drop_prob[v]);
+                std::max(est.max_drop_probability, drop);
+            survived = inflow[v] * (1.0 - drop);
         }
 
         // Propagate the surviving flow downstream by branch shares.
-        const std::vector<EdgeId> outs = scratch != nullptr
-            ? scratch->out_edge_lists()[v]
-            : graph.out_edges(v);
+        const std::vector<EdgeId>& outs = out_edges[v];
         double delta_sum = 0.0;
         for (EdgeId e : outs)
             delta_sum += graph.edge(e).params.delta;
@@ -151,16 +147,14 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
             const double share = delta_sum > 0.0
                 ? graph.edge(e).params.delta / delta_sum
                 : 1.0 / static_cast<double>(outs.size());
-            inflow[graph.edge(e).to] += survived[v] * share;
+            inflow[graph.edge(e).to] += survived * share;
         }
     }
 
     // With explicit egress vertices, every IP on a path is the source of
     // exactly one path edge, so the Eq. 6 edge sum already covers the final
     // IP's Q + C/A term.
-    const std::vector<ExecutionGraph::Path> paths = scratch != nullptr
-        ? scratch->paths()
-        : graph.enumerate_paths();
+    scratch.ensure_paths(graph);
     double weight_sum = 0.0;
     double mean = 0.0;
     // Per-path tail parameters: deterministic shift + gamma moment match
@@ -172,7 +166,7 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
         double theta;   ///< gamma scale
     };
     std::vector<PathTail> tails;
-    for (const auto& path : paths) {
+    for (const auto& path : scratch.paths()) {
         PathLatency pl;
         pl.weight = path.weight;
         double det = 0.0;
@@ -181,7 +175,8 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
         for (EdgeId eid : path.edges) {
             const Edge& e = graph.edge(eid);
             const Vertex& src = graph.vertex(e.from);
-            const VertexAnalysis& va = analysis[e.from];
+            const VertexAnalysis& va = scratch.vertex_analysis(
+                graph, hw, e.from, traffic, class_index);
             HopLatency hop;
             hop.vertex = src.name;
             if (sojourn_override[e.from].seconds() >= 0.0) {
@@ -263,10 +258,7 @@ estimate_latency(const ExecutionGraph& graph, const HardwareModel& hw,
 
     // Goodput: the flow that reaches the egress engines.
     double egress_flow = 0.0;
-    const std::vector<VertexId> egresses = scratch != nullptr
-        ? scratch->egresses()
-        : graph.egress_vertices();
-    for (VertexId v : egresses)
+    for (VertexId v : scratch.egresses())
         egress_flow += inflow[v];
     est.goodput =
         std::min(bw_in, hw.line_rate()) * std::min(1.0, egress_flow);

@@ -1,13 +1,13 @@
 #include "lognic/core/model.hpp"
 
-#include "lognic/core/solve_scratch.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
+
+#include "solve.hpp"
 
 namespace lognic::core {
 
@@ -81,6 +81,55 @@ mixed_capacity(const std::vector<ThroughputEstimate>& per_class,
     return Bandwidth{min_limit};
 }
 
+/// The per-class pass behind Model::estimate/throughput/latency (see
+/// model.hpp); the caller's scratch serves a single-class profile only.
+Report
+solve(const HardwareModel& hw, const ExecutionGraph& graph,
+      const TrafficProfile& traffic, SolveScratch* scratch, bool throughput,
+      bool latency)
+{
+    Report report;
+    ThroughputReport& tr = report.throughput;
+    LatencyReport& lr = report.latency;
+    const auto solve_class = [&](const ExecutionGraph& g,
+                                 const TrafficProfile& t, SolveScratch& s) {
+        g.validate(hw);
+        if (throughput)
+            tr.per_class.push_back(detail::solve_throughput(g, hw, t, 0, s));
+        if (latency)
+            lr.per_class.push_back(detail::solve_latency(g, hw, t, 0, s));
+    };
+    const auto& classes = traffic.classes();
+    const bool mixed = classes.size() > 1;
+    SolveScratch local;
+    if (!mixed)
+        solve_class(graph, traffic, scratch ? *scratch : local);
+    for (std::size_t i = 0; mixed && i < classes.size(); ++i) {
+        SolveScratch own;
+        solve_class(queue_partitioned_copy(graph, hw, classes[i].weight),
+                    class_operating_profile(traffic, i), own);
+    }
+
+    for (std::size_t i = 0; i < lr.per_class.size(); ++i) {
+        lr.mean += Seconds{classes[i].weight * lr.per_class[i].mean.seconds()};
+        lr.max_drop_probability = std::max(
+            lr.max_drop_probability, lr.per_class[i].max_drop_probability);
+    }
+    if (throughput && !mixed) {
+        tr.achieved += tr.per_class[0].achieved * classes[0].weight;
+        tr.capacity = tr.per_class[0].capacity;
+    } else if (throughput) {
+        // Each class's achieved throughput already uses its BW share, but
+        // assumed the rest of the mix was absent; the shared resources cap
+        // the total at the mixed capacity.
+        for (const ThroughputEstimate& est : tr.per_class)
+            tr.achieved += est.achieved;
+        tr.capacity = mixed_capacity(tr.per_class, classes);
+        tr.achieved = std::min(tr.achieved, tr.capacity);
+    }
+    return report;
+}
+
 } // namespace
 
 const ThroughputTerm&
@@ -100,69 +149,21 @@ ThroughputReport
 Model::throughput(const ExecutionGraph& graph, const TrafficProfile& traffic,
                   SolveScratch* scratch) const
 {
-    ThroughputReport report;
-    const auto& classes = traffic.classes();
-    const bool mixed = classes.size() > 1;
-    for (std::size_t i = 0; i < classes.size(); ++i) {
-        const TrafficProfile cp = mixed
-            ? class_operating_profile(traffic, i)
-            : traffic;
-        // The scratch is keyed to the caller's graph; the per-class
-        // queue-partitioned copies of a mixed profile must not use it.
-        const ThroughputEstimate est = mixed
-            ? estimate_throughput(
-                  queue_partitioned_copy(graph, hw_, classes[i].weight), hw_,
-                  cp)
-            : estimate_throughput(graph, hw_, cp, 0, scratch);
-        report.achieved += mixed
-            ? est.achieved // per-class achieved already uses the BW share
-            : est.achieved * classes[i].weight;
-        report.per_class.push_back(est);
-    }
-    if (mixed) {
-        report.capacity = mixed_capacity(report.per_class, classes);
-        // The summed per-class goodputs each assumed the rest of the mix
-        // was absent; the shared resources cap the total at the mixed
-        // capacity.
-        report.achieved = std::min(report.achieved, report.capacity);
-    } else {
-        report.capacity = report.per_class[0].capacity;
-    }
-    return report;
+    return solve(hw_, graph, traffic, scratch, true, false).throughput;
 }
 
 LatencyReport
 Model::latency(const ExecutionGraph& graph, const TrafficProfile& traffic,
                SolveScratch* scratch) const
 {
-    LatencyReport report;
-    const auto& classes = traffic.classes();
-    const bool mixed = classes.size() > 1;
-    double mean = 0.0;
-    for (std::size_t i = 0; i < classes.size(); ++i) {
-        const TrafficProfile cp = mixed
-            ? class_operating_profile(traffic, i)
-            : traffic;
-        const LatencyEstimate est = mixed
-            ? estimate_latency(
-                  queue_partitioned_copy(graph, hw_, classes[i].weight), hw_,
-                  cp)
-            : estimate_latency(graph, hw_, cp, 0, scratch);
-        mean += classes[i].weight * est.mean.seconds();
-        report.max_drop_probability =
-            std::max(report.max_drop_probability, est.max_drop_probability);
-        report.per_class.push_back(est);
-    }
-    report.mean = Seconds{mean};
-    return report;
+    return solve(hw_, graph, traffic, scratch, false, true).latency;
 }
 
 Report
 Model::estimate(const ExecutionGraph& graph, const TrafficProfile& traffic,
                 SolveScratch* scratch) const
 {
-    return Report{throughput(graph, traffic, scratch),
-                  latency(graph, traffic, scratch)};
+    return solve(hw_, graph, traffic, scratch, true, true);
 }
 
 } // namespace lognic::core

@@ -7,9 +7,7 @@ namespace lognic::core {
 void
 SolveScratch::invalidate()
 {
-    topo_valid_ = false;
-    analysis_valid_.clear();
-    analyses_.clear();
+    topo_valid_ = false; // the rebuild resets the analyses and paths
 }
 
 void
@@ -28,17 +26,19 @@ SolveScratch::invalidate_vertex(VertexId v)
 void
 SolveScratch::ensure_topology(const ExecutionGraph& graph)
 {
-    if (topo_valid_ && in_delta_sums_.size() == graph.vertex_count())
-        return;
-    ++topology_builds_;
     const std::size_t n = graph.vertex_count();
+    if (topo_valid_ && in_delta_sums_.size() == n)
+        return;
     topo_order_ = graph.topological_order();
-    paths_ = graph.enumerate_paths();
+    paths_valid_ = false;
+    // One pass in edge order: the same lists, and the same summation
+    // order, as graph.out_edges(v) / graph.in_delta_sum(v).
     out_edges_.assign(n, {});
     in_delta_sums_.assign(n, 0.0);
-    for (VertexId v = 0; v < n; ++v) {
-        out_edges_[v] = graph.out_edges(v);
-        in_delta_sums_[v] = graph.in_delta_sum(v);
+    for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+        const Edge& ed = graph.edge(e);
+        out_edges_[ed.from].push_back(e);
+        in_delta_sums_[ed.to] += ed.params.delta;
     }
     ingresses_ = graph.ingress_vertices();
     egresses_ = graph.egress_vertices();
@@ -47,23 +47,27 @@ SolveScratch::ensure_topology(const ExecutionGraph& graph)
     topo_valid_ = true;
 }
 
+void
+SolveScratch::ensure_paths(const ExecutionGraph& graph)
+{
+    ensure_topology(graph);
+    if (!paths_valid_) {
+        paths_ = graph.enumerate_paths();
+        paths_valid_ = true;
+    }
+}
+
 const VertexAnalysis&
 SolveScratch::vertex_analysis(const ExecutionGraph& graph,
                               const HardwareModel& hw, VertexId v,
                               const TrafficProfile& traffic,
                               std::size_t class_index)
 {
-    if (v < analysis_valid_.size() && analysis_valid_[v]) {
-        ++analysis_hits_;
-        return analyses_[v];
+    ensure_topology(graph);
+    if (!analysis_valid_.at(v)) {
+        analyses_[v] = analyze_vertex(graph, hw, v, traffic, class_index);
+        analysis_valid_[v] = 1;
     }
-    ++analysis_misses_;
-    if (analyses_.size() != graph.vertex_count()) {
-        analysis_valid_.assign(graph.vertex_count(), 0);
-        analyses_.assign(graph.vertex_count(), VertexAnalysis{});
-    }
-    analyses_[v] = analyze_vertex(graph, hw, v, traffic, class_index);
-    analysis_valid_[v] = 1;
     return analyses_[v];
 }
 

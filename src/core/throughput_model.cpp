@@ -1,10 +1,8 @@
 #include "lognic/core/throughput_model.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "lognic/core/solve_scratch.hpp"
-#include "lognic/core/vertex_analysis.hpp"
+#include "solve.hpp"
 
 namespace lognic::core {
 
@@ -33,13 +31,18 @@ estimate_throughput(const ExecutionGraph& graph, const HardwareModel& hw,
                     const TrafficProfile& traffic, std::size_t class_index,
                     SolveScratch* scratch)
 {
-    // Always re-validate: a cached scratch must not mask a scenario delta
-    // that the fresh path would reject (identical throw-vs-report
-    // behavior is part of the bit-identity contract).
     graph.validate(hw);
-    if (scratch != nullptr)
-        scratch->ensure_topology(graph);
+    SolveScratch local;
+    return detail::solve_throughput(graph, hw, traffic, class_index,
+                                    scratch ? *scratch : local);
+}
 
+ThroughputEstimate
+detail::solve_throughput(const ExecutionGraph& graph, const HardwareModel& hw,
+                         const TrafficProfile& traffic,
+                         std::size_t class_index, SolveScratch& scratch)
+{
+    scratch.ensure_topology(graph);
     ThroughputEstimate est;
     std::vector<ThroughputTerm>& terms = est.terms;
 
@@ -52,14 +55,11 @@ estimate_throughput(const ExecutionGraph& graph, const HardwareModel& hw,
         const Vertex& vx = graph.vertex(v);
         if (vx.kind == VertexKind::kIngress || vx.kind == VertexKind::kEgress)
             continue;
-        const double delta_sum = scratch != nullptr
-            ? scratch->in_delta_sum(v)
-            : graph.in_delta_sum(v);
+        const double delta_sum = scratch.in_delta_sum(v);
         if (delta_sum <= 0.0)
             continue; // sees no traffic; never binds
-        const VertexAnalysis va = scratch != nullptr
-            ? scratch->vertex_analysis(graph, hw, v, traffic, class_index)
-            : analyze_vertex(graph, hw, v, traffic, class_index);
+        const VertexAnalysis& va =
+            scratch.vertex_analysis(graph, hw, v, traffic, class_index);
         const TermKind kind = vx.kind == VertexKind::kRateLimiter
             ? TermKind::kRateLimit
             : TermKind::kIpCompute;

@@ -13,7 +13,6 @@ Materializer::build_full(const Config& c)
     cached_ = space_.materialize(c);
     scratch_.invalidate();
     ++hw_epoch_;
-    ++full_builds_;
     current_ = c;
 }
 
@@ -45,7 +44,6 @@ Materializer::scenario(const Config& c)
                 continue;
             const Knob& knob = space_.knob(k);
             knob.apply(cached_, knob.values[c[k]]);
-            ++patched_knobs_;
             switch (knob.patch) {
               case PatchScope::kVertexParams: {
                 const auto id = cached_.graph.find_vertex(knob.patch_vertex);

@@ -235,6 +235,11 @@ std::uint64_t parse_u64(const std::string& text, const std::string& context) {
     return value;
 }
 
+Json u64_json(std::uint64_t value) {
+    if (value >= (std::uint64_t{1} << 53)) return Json(u64_to_hex(value));
+    return Json(static_cast<double>(value));
+}
+
 std::uint64_t u64_field(const Json& obj, const std::string& key,
                         std::uint64_t fallback, const std::string& context) {
     if (!obj.contains(key)) return fallback;

@@ -17,6 +17,8 @@
 
 #include "check_test_helpers.hpp"
 #include "lognic/check/harness.hpp"
+#include "lognic/io/checkpoint.hpp"
+#include "lognic/runner/seed.hpp"
 
 namespace lognic::check {
 namespace {
@@ -89,6 +91,30 @@ TEST(RunTrials, FailureCarriesMinimalReproducingSpec)
     EXPECT_FALSE(check_scenario(entry.scenario, entry.options, copts,
                                 entry.monotonicity)
                      .empty());
+}
+
+TEST(RunTrials, FailureSeedsSurviveTheJsonRoundTrip)
+{
+    // Trial 0 of seed 7 simulates with a seed above 2^53; a double would
+    // round it, and the "minimal reproducing spec" would replay another
+    // sample path.
+    CheckOptions copts;
+    copts.trials = 1;
+    copts.seed = 7;
+    copts.duration = 0.02;
+    copts.conformance.monotonic_slack_rel = -10.0;
+    copts.conformance.monotonic_slack_abs_us = 0.0;
+    const std::uint64_t trial_seed = runner::derive_seed(7, 0);
+    const std::uint64_t sim_seed = runner::derive_seed(trial_seed, 1);
+    ASSERT_EQ(sim_seed, 11984929618412882174ull);
+    const io::Json report =
+        io::Json::parse(to_json(run_trials(copts)).dump(2));
+    ASSERT_EQ(report.at("failures").as_array().size(), 1u);
+    const io::Json& failure = report.at("failures").as_array()[0];
+    EXPECT_EQ(io::u64_field(failure, "generator_seed", 0, "report"),
+              trial_seed);
+    EXPECT_EQ(corpus_entry_from_json(failure.at("minimal_spec")).options.seed,
+              sim_seed);
 }
 
 TEST(Corpus, EntriesLoadAndRoundTrip)

@@ -154,6 +154,23 @@ TEST(HexCodec, U64FieldAcceptsWholeNumbersAndStringsOnly)
     }
 }
 
+TEST(HexCodec, U64JsonIsANumberBelowTwo53AndHexAtOrAbove)
+{
+    const std::uint64_t two53 = std::uint64_t{1} << 53;
+    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{31337},
+                            two53 - 1, two53, two53 + 1,
+                            std::uint64_t{11984929618412882174ull},
+                            std::numeric_limits<std::uint64_t>::max()}) {
+        const io::Json j = io::u64_json(v);
+        EXPECT_EQ(j.is_number(), v < two53) << v;
+        io::Json obj;
+        obj.set("v", j);
+        EXPECT_EQ(io::u64_field(io::Json::parse(obj.dump()), "v", 0, "t"), v);
+    }
+    EXPECT_EQ(io::u64_json(31337).dump(), "31337");
+    EXPECT_EQ(io::u64_json(two53).dump(), "\"0x0020000000000000\"");
+}
+
 TEST(HexCodec, ParseU64RejectsSignsOctalPrefixAndHexGarbage)
 {
     // The hand-rolled parser (replacing raw std::stoull) must reject
