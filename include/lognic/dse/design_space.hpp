@@ -30,9 +30,11 @@
  * bound to "ip.crypto" has no defined meaning on a rebuilt hardware
  * model, so the combination is rejected at declaration time.
  *
- * Every Config has a canonical key ("name=<IEEE-754 hex>;...") and a
- * 64-bit FNV-1a fingerprint of it — the memo-cache key, journal key, and
- * deterministic candidate id respectively.
+ * In memory a Config is identified by its ConfigIndex (memo, batch dedup,
+ * archive). Where bytes leave the process or identity must hold across
+ * runs it is its canonical key ("name=<IEEE-754 hex>;...") and the FNV-1a
+ * fingerprint of that key: journal keys, frontier entries and ids, the
+ * Pareto tie-break, DES seeds and memo shards.
  */
 #ifndef LOGNIC_DSE_DESIGN_SPACE_HPP_
 #define LOGNIC_DSE_DESIGN_SPACE_HPP_
@@ -86,6 +88,30 @@ struct Knob {
     std::function<void(io::Scenario&, double)> apply;
 };
 
+/// "vertex.<name>.parallelism" -> {"vertex", "<name>", "parallelism"}.
+std::vector<std::string> split_knob_path(const std::string& path);
+
+/**
+ * In-process identity of a Config: its mixed-radix level index (last knob
+ * fastest, the exhaustive walk's order) when combinations() fits a u64;
+ * otherwise the level-index vector itself.
+ */
+struct ConfigIndex {
+    std::uint64_t word{0};
+    Config levels; ///< empty when the space fits a u64
+    bool operator==(const ConfigIndex&) const = default;
+};
+
+struct ConfigIndexHash {
+    std::size_t operator()(const ConfigIndex& i) const noexcept
+    {
+        std::uint64_t h = i.word;
+        for (std::uint32_t l : i.levels)
+            h = (h ^ l) * 0x9e3779b97f4a7c15ull;
+        return static_cast<std::size_t>(h);
+    }
+};
+
 class DesignSpace {
   public:
     explicit DesignSpace(io::Scenario base);
@@ -126,7 +152,13 @@ class DesignSpace {
     /// Canonical exact key: "name=<IEEE-754 hex>;..." in knob order.
     std::string canonical_key(const Config& c) const;
     /// FNV-1a 64 of canonical_key(): the deterministic candidate id.
+    /// Folded over per-level key segments; builds no string.
     std::uint64_t fingerprint(const Config& c) const;
+
+    /// Level index of @p c; @throws std::invalid_argument like validate().
+    ConfigIndex index(const Config& c) const;
+    /// The config whose index() is @p i.
+    Config config(const ConfigIndex& i) const;
 
     /// {"knob name": level value, ...} for reports.
     io::Json config_json(const Config& c) const;
@@ -134,6 +166,10 @@ class DesignSpace {
   private:
     io::Scenario base_;
     std::vector<Knob> knobs_;
+    /// segments_[k][l]: knob k's "name=<hex>;" field at level l.
+    std::vector<std::vector<std::string>> segments_;
+    /// Mixed-radix strides; empty when combinations() overflows a u64.
+    std::vector<std::uint64_t> strides_;
 };
 
 } // namespace lognic::dse

@@ -30,8 +30,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lognic/dse/design_space.hpp"
@@ -182,8 +183,8 @@ FrontierReport explore(const DesignSpace& space,
                        obs::MetricsRegistry* metrics = nullptr);
 
 /// Model-oracle scoring of one config — pure in (space, config,
-/// objectives, constraints); the unit the memo cache and ExploreJournal
-/// key by canonical config string.
+/// objectives, constraints); the unit the ExploreJournal keys by
+/// canonical config string.
 Evaluation evaluate_config(const DesignSpace& space, const Config& c,
                            const std::vector<ObjectiveSpec>& objectives,
                            const std::vector<Constraint>& constraints);
@@ -196,8 +197,10 @@ Evaluation evaluate_config(const DesignSpace& space, const Config& c,
  * solves for first-seen configs fan out over runner::parallel_for, in
  * contiguous chunks that each reuse one incremental Materializer (bit-
  * identical to fresh evaluation per config, so chunking cannot perturb
- * results). Public so tests and the benchmark can drive batches — and
- * count solves — directly; explore() remains the normal entry point.
+ * results). Configs are keyed by ConfigIndex; key strings are built only
+ * for the journal seams (when set) and the ScoredConfigs handed out.
+ * Public so tests and the benchmark can drive batches — and count
+ * solves — directly; explore() remains the normal entry point.
  */
 class BatchEvaluator {
   public:
@@ -210,27 +213,51 @@ class BatchEvaluator {
     /// Scores per batch index; duplicates within the batch cost one solve.
     std::vector<ScoredConfig> run_batch(const std::vector<Config>& batch);
 
-    /// Every unique scored config, in canonical key order.
-    std::vector<ScoredConfig> archive_vector() const;
+    /// The exhaustive strategy: every config as one batch, walked in
+    /// level-index order. @throws std::invalid_argument above
+    /// exhaustive_limit.
+    void run_all();
 
-    std::uint64_t requests() const; ///< cache hits + misses
-    io::LruCacheStats cache_stats() const;
-    std::size_t archive_size() const;
+    /// Every unique scored config (only the feasible and finite ones with
+    /// @p eligible_only), in canonical key order.
+    std::vector<ScoredConfig> archive_vector(bool eligible_only = false) const;
+    /// Fills the search, cache, pruned and solves counters of @p report.
+    void tally(FrontierReport& report) const;
+
+    /// Cache hits + misses.
+    std::uint64_t requests() const
+    {
+        return cache_.stats().hits + cache_.stats().misses;
+    }
+    io::LruCacheStats cache_stats() const { return cache_.stats(); }
+    std::size_t archive_size() const { return archive_.size(); }
     /// Model solves actually performed (misses minus replays and prunes).
     std::uint64_t solves() const { return solves_; }
-    /// Misses resolved by the pruner without a solve.
-    std::uint64_t pruned() const { return pruned_; }
 
   private:
+    struct Record {
+        std::uint64_t id{0};    ///< DesignSpace::fingerprint
+        std::uint64_t batch{0}; ///< last batch that queued its work
+        Evaluation eval;
+    };
+    using Entry = std::pair<const ConfigIndex, Record>;
+
+    /// The coordinator: @p next() yields the batch's configs in order;
+    /// appends their archive entries to @p out when it is non-null.
+    template <typename Next>
+    void resolve(std::size_t n, Next next, std::vector<Entry*>* out);
+    ScoredConfig scored(const Entry& e) const;
+
     const DesignSpace& space_;
     const std::vector<ObjectiveSpec>& objectives_;
     const std::vector<Constraint>& constraints_;
     const ExploreOptions& opts_;
     Pruner* pruner_;
-    MemoCache cache_;
-    std::map<std::string, ScoredConfig> archive_; ///< canonical key order
+    /// Recency and counters only; Evaluations live in archive_'s nodes.
+    BasicMemoCache<ConfigIndex, Entry*, ConfigIndexHash> cache_;
+    std::unordered_map<ConfigIndex, Record, ConfigIndexHash> archive_;
+    std::uint64_t batches_{0};
     std::uint64_t solves_{0};
-    std::uint64_t pruned_{0};
 };
 
 } // namespace lognic::dse

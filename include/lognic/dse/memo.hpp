@@ -2,10 +2,11 @@
  * @file
  * Sharded memoized evaluation cache for the design-space explorer.
  *
- * Keys are canonical config strings (DesignSpace::canonical_key), values
- * are model-oracle Evaluations. Sharding by FNV-1a of the key bounds
- * per-shard LRU bookkeeping on big campaigns; each shard is the shared
- * io::LruCache backend also used by calib's per-start loss caches.
+ * One template over the key type: MemoCache keys Evaluations by canonical
+ * config string, the explorer keys archive entries by dse::ConfigIndex.
+ * Either way a config's shard is its canonical-key fingerprint modulo the
+ * shard count, so both count hits, misses and evictions identically.
+ * Each shard is the shared io::LruCache backend (also calib's).
  *
  * The cache is NOT thread-safe and is only touched from the explorer's
  * serial batch coordinator — that is what makes hit/miss/eviction
@@ -16,10 +17,16 @@
 #ifndef LOGNIC_DSE_MEMO_HPP_
 #define LOGNIC_DSE_MEMO_HPP_
 
+#include <algorithm>
+#include <concepts>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "lognic/io/checkpoint.hpp"
 #include "lognic/io/lru_cache.hpp"
 
 namespace lognic::dse {
@@ -41,24 +48,62 @@ struct Evaluation {
     std::string why; ///< violated constraint or evaluation failure
 };
 
-class MemoCache {
+template <typename Key, typename Value = Evaluation,
+          typename Hash = std::hash<Key>>
+class BasicMemoCache {
   public:
     /// @throws std::invalid_argument when capacity or shards is zero.
-    MemoCache(std::size_t capacity, std::size_t shards);
+    BasicMemoCache(std::size_t capacity, std::size_t shards)
+    {
+        if (capacity == 0)
+            throw std::invalid_argument("MemoCache: capacity must be > 0");
+        if (shards == 0)
+            throw std::invalid_argument("MemoCache: shards must be > 0");
+        shards_.assign(shards, Shard(std::max<std::size_t>(1, capacity
+                                                                  / shards)));
+    }
 
-    std::optional<Evaluation> lookup(const std::string& key);
-    void insert(const std::string& key, Evaluation value);
+    /// @p fingerprint is the config's canonical-key fingerprint.
+    std::optional<Value> lookup(const Key& key, std::uint64_t fingerprint)
+    {
+        return shards_[fingerprint % shards_.size()].lookup(key);
+    }
+    void insert(Key key, std::uint64_t fingerprint, Value value)
+    {
+        shards_[fingerprint % shards_.size()].insert(std::move(key),
+                                                     std::move(value));
+    }
+
+    std::optional<Value> lookup(const std::string& key)
+        requires std::same_as<Key, std::string>
+    {
+        return lookup(key, io::fnv1a64(key));
+    }
+    void insert(const std::string& key, Value value)
+        requires std::same_as<Key, std::string>
+    {
+        insert(key, io::fnv1a64(key), std::move(value));
+    }
 
     /// Counters summed across shards.
-    io::LruCacheStats stats() const;
-    std::size_t size() const;
-    std::size_t shard_count() const { return shards_.size(); }
+    io::LruCacheStats stats() const
+    {
+        io::LruCacheStats total;
+        for (const Shard& shard : shards_) {
+            total.hits += shard.stats().hits;
+            total.misses += shard.stats().misses;
+            total.evictions += shard.stats().evictions;
+        }
+        return total;
+    }
 
   private:
-    std::size_t shard_of(const std::string& key) const;
-
-    std::vector<io::LruCache<Evaluation>> shards_;
+    using Shard = io::LruCache<Value, Key, Hash>;
+    std::vector<Shard> shards_;
 };
+
+/// Canonical-key-string memo of Evaluations.
+using MemoCache = BasicMemoCache<std::string>;
 
 } // namespace lognic::dse
 

@@ -142,7 +142,6 @@ class Pruner {
     /// Upper bound on capacity for @p c (exact when stratum.complete).
     std::optional<Bandwidth> capacity_bound(const Config& c) const;
     Bandwidth offered(const Config& c) const;
-    bool level_alive(std::size_t knob, std::size_t level) const;
 
     const DesignSpace& space_;
     std::vector<Constraint> constraints_;

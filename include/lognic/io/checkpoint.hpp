@@ -45,9 +45,14 @@ namespace lognic::io {
 /// reject other versions (version skew) rather than guessing.
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
-/// FNV-1a 64-bit over @p data. Not cryptographic; detects torn writes and
-/// bit rot, which is the threat model for a local checkpoint directory.
-std::uint64_t fnv1a64(std::string_view data);
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64-bit over @p data, continuing from the running hash @p h, so
+/// fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b). Not cryptographic; detects
+/// torn writes and bit rot, which is the threat model for a local
+/// checkpoint directory.
+std::uint64_t fnv1a64(std::string_view data, std::uint64_t h = kFnv1a64Basis);
 
 struct CheckpointFrame {
     std::uint32_t version{kCheckpointVersion};

@@ -1,14 +1,12 @@
 /**
  * @file
- * Generic string-keyed LRU memo cache.
- *
- * Extracted from the per-start loss-evaluation cache in lognic::calib so
- * the same backend serves both the calibrator (bit-pattern parameter
- * vectors -> residual vectors) and the design-space explorer (canonical
- * config fingerprints -> objective evaluations). Semantics are exactly
- * the original EvalCache's: lookup counts a hit or a miss and refreshes
- * recency, insert is a no-op when the key is present and evicts the
- * least-recent entry at capacity.
+ * Generic LRU memo cache, templated on the key type: one backend for the
+ * calibrator (bit-pattern parameter strings -> residual vectors) and the
+ * dse memo (canonical config strings or dse::ConfigIndex). Semantics are
+ * exactly calib's original EvalCache's: lookup counts a hit or a miss and
+ * refreshes recency, insert is a no-op when the key is present and evicts
+ * the least-recent entry at capacity. The counters depend only on which
+ * keys are equal, never on the key type.
  *
  * Deliberately not thread-safe: callers that need deterministic hit/miss
  * counters (calib per-start workers, the dse batch coordinator) own one
@@ -18,6 +16,7 @@
 #define LOGNIC_IO_LRU_CACHE_HPP_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <optional>
 #include <stdexcept>
@@ -33,7 +32,8 @@ struct LruCacheStats {
     std::uint64_t evictions{0};
 };
 
-template <typename Value>
+template <typename Value, typename Key = std::string,
+          typename Hash = std::hash<Key>>
 class LruCache {
   public:
     using Stats = LruCacheStats;
@@ -46,7 +46,7 @@ class LruCache {
     }
 
     /// Cached value for @p key, refreshing its recency; nullopt on a miss.
-    std::optional<Value> lookup(const std::string& key)
+    std::optional<Value> lookup(const Key& key)
     {
         const auto it = index_.find(key);
         if (it == index_.end()) {
@@ -60,7 +60,7 @@ class LruCache {
 
     /// Insert (no-op if present), evicting the least-recent entry at
     /// capacity.
-    void insert(std::string key, Value value)
+    void insert(Key key, Value value)
     {
         if (index_.count(key) != 0)
             return;
@@ -79,14 +79,13 @@ class LruCache {
 
   private:
     struct Entry {
-        std::string key;
+        Key key;
         Value value;
     };
 
     std::size_t capacity_;
     std::list<Entry> entries_; ///< front = most recent
-    std::unordered_map<std::string, typename std::list<Entry>::iterator>
-        index_;
+    std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> index_;
     Stats stats_;
 };
 

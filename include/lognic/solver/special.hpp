@@ -20,8 +20,9 @@ double regularized_gamma_q(double a, double x);
 
 /**
  * Quantile of the gamma distribution with shape @p k and scale @p theta:
- * the t with P(k, t/theta) = @p p. Bisection refined from the
- * Wilson-Hilferty start; @p p in (0, 1).
+ * the t with P(k, t/theta) = @p p. Brackets from the mean k * theta,
+ * doubling the upper end until it covers @p p, then bisects to a width
+ * of 1e-12 * (1 + t); @p p in (0, 1).
  */
 double gamma_quantile(double k, double theta, double p);
 

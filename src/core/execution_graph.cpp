@@ -201,18 +201,31 @@ ExecutionGraph::egress_vertices() const
 double
 ExecutionGraph::in_delta_sum(VertexId v) const
 {
+    // Same edge order as in_edges(v), without building it.
     double sum = 0.0;
-    for (EdgeId e : in_edges(v))
-        sum += edges_[e].params.delta;
+    for (const auto& e : edges_)
+        if (e.to == v)
+            sum += e.params.delta;
     return sum;
 }
 
 std::vector<VertexId>
 ExecutionGraph::topological_order() const
 {
+    // In-degrees and CSR out-edge lists (ascending edge id per vertex, as
+    // out_edges(v) returns them) in one edge pass.
     std::vector<std::size_t> in_count(vertices_.size(), 0);
-    for (const auto& e : edges_)
+    std::vector<std::size_t> out_begin(vertices_.size() + 1, 0);
+    for (const auto& e : edges_) {
         ++in_count[e.to];
+        ++out_begin[e.from + 1];
+    }
+    for (std::size_t v = 0; v < vertices_.size(); ++v)
+        out_begin[v + 1] += out_begin[v];
+    std::vector<EdgeId> out(edges_.size());
+    std::vector<std::size_t> fill(out_begin.begin(), out_begin.end() - 1);
+    for (std::size_t e = 0; e < edges_.size(); ++e)
+        out[fill[edges_[e].from]++] = static_cast<EdgeId>(e);
 
     std::queue<VertexId> ready;
     for (std::size_t v = 0; v < vertices_.size(); ++v) {
@@ -226,9 +239,10 @@ ExecutionGraph::topological_order() const
         const VertexId v = ready.front();
         ready.pop();
         order.push_back(v);
-        for (EdgeId e : out_edges(v)) {
-            if (--in_count[edges_[e].to] == 0)
-                ready.push(edges_[e].to);
+        for (std::size_t i = out_begin[v]; i < out_begin[v + 1]; ++i) {
+            const VertexId to = edges_[out[i]].to;
+            if (--in_count[to] == 0)
+                ready.push(to);
         }
     }
     if (order.size() != vertices_.size())

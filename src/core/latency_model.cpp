@@ -1,6 +1,8 @@
 #include "lognic/core/latency_model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "lognic/queueing/mg1.hpp"
 #include "lognic/queueing/mm1n.hpp"
@@ -124,7 +126,17 @@ detail::solve_latency(const ExecutionGraph& graph, const HardwareModel& hw,
             // lossless (its internal shedding is part of the curve).
             const double lambda =
                 bw_in.bits_per_sec() * inflow[v] / g_in.bits();
-            sojourn_override[v] = hw.ip(vx.ip).sojourn_curve(lambda);
+            const IpSpec& ip = hw.ip(vx.ip);
+            sojourn_override[v] = ip.sojourn_curve(lambda);
+            // The override is marked by a value >= 0; NaN or a negative
+            // sojourn would silently fall back to C/A with no queueing.
+            if (!(sojourn_override[v].seconds() >= 0.0))
+                throw std::domain_error(
+                    "latency model: sojourn curve of IP '" + ip.name
+                    + "' returned "
+                    + std::to_string(sojourn_override[v].seconds())
+                    + " s at lambda = " + std::to_string(lambda)
+                    + " pkt/s");
         } else {
             const double thinning =
                 nominal > 0.0 ? inflow[v] / nominal : 0.0;

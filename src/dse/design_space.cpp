@@ -45,24 +45,6 @@ validate_integer_levels(const std::string& path,
     }
 }
 
-/// Split "vertex.<name>.parallelism"-style paths on dots.
-std::vector<std::string>
-split_path(const std::string& path)
-{
-    std::vector<std::string> parts;
-    std::size_t begin = 0;
-    while (begin <= path.size()) {
-        const std::size_t dot = path.find('.', begin);
-        if (dot == std::string::npos) {
-            parts.push_back(path.substr(begin));
-            break;
-        }
-        parts.push_back(path.substr(begin, dot - begin));
-        begin = dot + 1;
-    }
-    return parts;
-}
-
 /// Resolve a calib::ParameterSpace catalog path against the base scenario
 /// and return its setter. Validation (unknown IP/ceiling/vertex, malformed
 /// indices) happens here, with calib's own error messages.
@@ -80,6 +62,23 @@ resolve_catalog_setter(const io::Scenario& base, const std::string& path,
 }
 
 } // namespace
+
+std::vector<std::string>
+split_knob_path(const std::string& path)
+{
+    std::vector<std::string> parts;
+    std::size_t begin = 0;
+    while (begin <= path.size()) {
+        const std::size_t dot = path.find('.', begin);
+        if (dot == std::string::npos) {
+            parts.push_back(path.substr(begin));
+            break;
+        }
+        parts.push_back(path.substr(begin, dot - begin));
+        begin = dot + 1;
+    }
+    return parts;
+}
 
 DesignSpace::DesignSpace(io::Scenario base) : base_(std::move(base)) {}
 
@@ -99,7 +98,7 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
     Knob k;
     k.name = path;
     k.cost_weight = cost_weight;
-    const std::vector<std::string> parts = split_path(path);
+    const std::vector<std::string> parts = split_knob_path(path);
 
     if (path == "placement.nf_chain") {
         if (values.empty())
@@ -204,7 +203,18 @@ DesignSpace::add_custom(Knob k)
             bad_knob(k.name, "bound to base-scenario names but knob '"
                                  + other.name + "' rebuilds the scenario");
     }
+    std::vector<std::string>& segments = segments_.emplace_back();
+    for (double v : k.values)
+        segments.push_back(k.name + '=' + io::double_to_hex(v) + ';');
     knobs_.push_back(std::move(k));
+
+    // Mixed-radix strides, last knob fastest, when the product fits.
+    strides_.clear();
+    if (combinations() < std::numeric_limits<std::uint64_t>::max()) {
+        strides_.assign(knobs_.size(), 1);
+        for (std::size_t i = knobs_.size() - 1; i-- > 0;)
+            strides_[i] = strides_[i + 1] * knobs_[i + 1].values.size();
+    }
     return knobs_.size() - 1;
 }
 
@@ -266,19 +276,41 @@ DesignSpace::canonical_key(const Config& c) const
 {
     validate(c);
     std::string key;
-    for (std::size_t i = 0; i < c.size(); ++i) {
-        key += knobs_[i].name;
-        key += '=';
-        key += io::double_to_hex(knobs_[i].values[c[i]]);
-        key += ';';
-    }
+    for (std::size_t i = 0; i < c.size(); ++i)
+        key += segments_[i][c[i]];
     return key;
 }
 
 std::uint64_t
 DesignSpace::fingerprint(const Config& c) const
 {
-    return io::fnv1a64(canonical_key(c));
+    validate(c);
+    std::uint64_t h = io::kFnv1a64Basis;
+    for (std::size_t i = 0; i < c.size(); ++i)
+        h = io::fnv1a64(segments_[i][c[i]], h);
+    return h;
+}
+
+ConfigIndex
+DesignSpace::index(const Config& c) const
+{
+    validate(c);
+    ConfigIndex out{0, strides_.empty() ? c : Config{}};
+    for (std::size_t i = 0; i < strides_.size(); ++i)
+        out.word += c[i] * strides_[i];
+    return out;
+}
+
+Config
+DesignSpace::config(const ConfigIndex& idx) const
+{
+    if (strides_.empty())
+        return idx.levels;
+    Config c(knobs_.size());
+    for (std::size_t i = 0; i < c.size(); ++i)
+        c[i] = static_cast<std::uint32_t>(idx.word / strides_[i]
+                                          % knobs_[i].values.size());
+    return c;
 }
 
 io::Json

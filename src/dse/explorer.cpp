@@ -9,14 +9,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "lognic/core/model.hpp"
 #include "lognic/dse/materialize.hpp"
-#include "lognic/io/checkpoint.hpp"
 #include "lognic/runner/replicator.hpp"
 #include "lognic/runner/seed.hpp"
 #include "lognic/runner/thread_pool.hpp"
@@ -175,32 +174,6 @@ random_config(const DesignSpace& space, Rng& rng)
 }
 
 void
-run_exhaustive(const DesignSpace& space, const ExploreOptions& opts,
-               BatchEvaluator& ev)
-{
-    const std::uint64_t total = space.combinations();
-    if (total > opts.exhaustive_limit)
-        throw std::invalid_argument(
-            "dse: exhaustive search over " + std::to_string(total)
-            + " combinations exceeds the limit of "
-            + std::to_string(opts.exhaustive_limit)
-            + "; use the mutation or nsga2 strategy");
-    std::vector<Config> batch;
-    batch.reserve(static_cast<std::size_t>(total));
-    Config c(space.size(), 0);
-    for (std::uint64_t i = 0; i < total; ++i) {
-        batch.push_back(c);
-        // Mixed-radix odometer, last knob fastest.
-        for (std::size_t k = space.size(); k-- > 0;) {
-            if (++c[k] < space.knob(k).values.size())
-                break;
-            c[k] = 0;
-        }
-    }
-    ev.run_batch(batch);
-}
-
-void
 run_mutation(const DesignSpace& space, const ExploreOptions& opts,
              const std::vector<Sense>& senses, BatchEvaluator& ev)
 {
@@ -213,7 +186,7 @@ run_mutation(const DesignSpace& space, const ExploreOptions& opts,
     std::vector<std::uint64_t> previous;
     std::size_t stale = 0;
     while (ev.requests() < opts.budget && stale < 3) {
-        const auto archive = ev.archive_vector();
+        const auto archive = ev.archive_vector(true);
         const auto frontier = pareto_frontier(archive, senses);
         std::vector<std::uint64_t> ids;
         for (std::size_t idx : frontier)
@@ -263,30 +236,21 @@ run_nsga2(const DesignSpace& space, const ExploreOptions& opts,
         seed_batch.push_back(random_config(space, rng));
     std::vector<ScoredConfig> pop = ev.run_batch(seed_batch);
 
-    const auto rank_and_crowd =
-        [&](const std::vector<ScoredConfig>& members,
-            std::vector<std::size_t>& rank, std::vector<double>& crowd) {
-            const std::size_t kUnranked =
-                std::numeric_limits<std::size_t>::max();
-            rank.assign(members.size(), kUnranked);
-            crowd.assign(members.size(), 0.0);
-            const auto fronts = non_dominated_sort(members, senses);
-            for (std::size_t f = 0; f < fronts.size(); ++f) {
-                const auto dist =
-                    crowding_distance(fronts[f], members, senses);
-                for (std::size_t i = 0; i < fronts[f].size(); ++i) {
-                    rank[fronts[f][i]] = f;
-                    crowd[fronts[f][i]] = dist[i];
-                }
-            }
-        };
-
     for (std::size_t gen = 0; gen < opts.generations; ++gen) {
         if (ev.requests() >= opts.budget)
             break;
-        std::vector<std::size_t> rank;
-        std::vector<double> crowd;
-        rank_and_crowd(pop, rank, crowd);
+        // Unranked (ineligible) members rank behind every front.
+        std::vector<std::size_t> rank(pop.size(),
+                                      std::numeric_limits<std::size_t>::max());
+        std::vector<double> crowd(pop.size(), 0.0);
+        const auto ranked = non_dominated_sort(pop, senses);
+        for (std::size_t f = 0; f < ranked.size(); ++f) {
+            const auto dist = crowding_distance(ranked[f], pop, senses);
+            for (std::size_t i = 0; i < ranked[f].size(); ++i) {
+                rank[ranked[f][i]] = f;
+                crowd[ranked[f][i]] = dist[i];
+            }
+        }
         const auto tournament = [&]() {
             const std::size_t a = rng.pick(pop.size());
             const std::size_t b = rng.pick(pop.size());
@@ -333,8 +297,7 @@ run_nsga2(const DesignSpace& space, const ExploreOptions& opts,
             }
             const auto dist = crowding_distance(front, merged, senses);
             std::vector<std::size_t> order(front.size());
-            for (std::size_t i = 0; i < order.size(); ++i)
-                order[i] = i;
+            std::iota(order.begin(), order.end(), std::size_t{0});
             std::sort(order.begin(), order.end(),
                       [&](std::size_t a, std::size_t b) {
                           if (dist[a] != dist[b])
@@ -397,29 +360,26 @@ validate_with_des(const DesignSpace& space, const ScoredConfig& who,
 
 } // namespace
 
+constexpr std::pair<Strategy, const char*> kStrategies[] = {
+    {Strategy::kExhaustive, "exhaustive"},
+    {Strategy::kMutation, "mutation"},
+    {Strategy::kNsga2, "nsga2"}};
+
 std::string
 strategy_name(Strategy s)
 {
-    switch (s) {
-    case Strategy::kExhaustive:
-        return "exhaustive";
-    case Strategy::kMutation:
-        return "mutation";
-    case Strategy::kNsga2:
-        return "nsga2";
-    }
+    for (const auto& [value, name] : kStrategies)
+        if (value == s)
+            return name;
     return "unknown";
 }
 
 Strategy
 strategy_from_name(const std::string& name)
 {
-    if (name == "exhaustive")
-        return Strategy::kExhaustive;
-    if (name == "mutation")
-        return Strategy::kMutation;
-    if (name == "nsga2")
-        return Strategy::kNsga2;
+    for (const auto& [value, n] : kStrategies)
+        if (name == n)
+            return value;
     throw std::invalid_argument("dse: unknown strategy '" + name
                                 + "' (exhaustive, mutation, nsga2)");
 }
@@ -472,71 +432,64 @@ BatchEvaluator::BatchEvaluator(const DesignSpace& space,
 {
 }
 
-std::vector<ScoredConfig>
-BatchEvaluator::run_batch(const std::vector<Config>& batch)
+template <typename Next>
+void
+BatchEvaluator::resolve(std::size_t n, Next next, std::vector<Entry*>* out)
 {
-    struct Pending {
-        std::string key;
-        Config config;
-        Evaluation eval;
-        bool resolved{false}; ///< replayed or pruned: no solve needed
-    };
-    std::vector<std::string> keys(batch.size());
-    std::map<std::string, Evaluation> hits;
-    std::vector<Pending> pending;
-    std::map<std::string, std::size_t> pending_index;
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        keys[i] = space_.canonical_key(batch[i]);
-        if (auto hit = cache_.lookup(keys[i])) {
-            hits.emplace(keys[i], *std::move(hit));
-            continue;
-        }
-        if (pending_index.count(keys[i]) != 0)
-            continue; // duplicate within the batch: one solve
-        Pending p;
-        p.key = keys[i];
-        p.config = batch[i];
-        // A journaled outcome replaces the *work*, never the counters:
-        // the lookup above already recorded the miss, exactly as the
-        // uninterrupted run would have. Replays also bypass the pruner,
-        // which keeps journals portable across prune modes.
-        p.resolved = opts_.resume_eval && opts_.resume_eval(p.key, p.eval);
-        if (!p.resolved && pruner_ != nullptr) {
-            if (auto r = pruner_->reject(p.config)) {
+    const std::uint64_t batch = ++batches_;
+    const bool journaled = opts_.resume_eval || opts_.on_eval;
+    std::vector<Entry*> pending;    ///< first miss of each config
+    std::vector<Entry*> to_compute; ///< the pending that need a solve
+    for (std::size_t i = 0; i < n; ++i) {
+        const Config& c = next();
+        const ConfigIndex index = space_.index(c);
+        const std::uint64_t id = space_.fingerprint(c);
+        const std::optional<Entry*> hit = cache_.lookup(index, id);
+        Entry* e = hit ? *hit : &*archive_.try_emplace(index, id).first;
+        // A repeat miss within the batch shares the first one's work.
+        if (!hit && e->second.batch != batch) {
+            Record& r = e->second;
+            r.batch = batch;
+            pending.push_back(e);
+            // A journaled outcome replaces the *work*, never the counters:
+            // the lookup above already recorded the miss, exactly as the
+            // uninterrupted run would have. Replays also bypass the
+            // pruner, which keeps journals portable across prune modes.
+            const std::string key =
+                journaled ? space_.canonical_key(c) : std::string();
+            const bool replayed =
+                opts_.resume_eval && opts_.resume_eval(key, r.eval);
+            std::optional<PruneReason> reject;
+            if (!replayed && pruner_ != nullptr)
+                reject = pruner_->reject(c);
+            if (reject) {
                 // Provably infeasible: synthesize the Evaluation the
                 // frontier machinery needs without spending a solve.
                 // Infeasible-but-finite with NaN objectives is safe —
-                // ineligible candidates' objectives are never compared
-                // or reported — and keeps the quarantined/infeasible
-                // report counters identical to an unpruned run.
-                p.eval.objectives.assign(objectives_.size(), kNan);
-                p.eval.feasible = false;
-                p.eval.finite = true;
-                p.eval.pruned = true;
-                p.eval.why = std::move(r->why);
-                p.resolved = true;
-                ++pruned_;
+                // ineligible candidates' objectives are never compared or
+                // reported — and keeps the quarantined/infeasible report
+                // counters identical to an unpruned run.
+                r.eval = Evaluation{
+                    std::vector<double>(objectives_.size(), kNan), false,
+                    true, true, std::move(reject->why)};
                 if (opts_.on_eval)
-                    opts_.on_eval(p.key, p.eval);
+                    opts_.on_eval(key, r.eval);
+            } else if (!replayed) {
+                to_compute.push_back(e);
             }
         }
-        pending_index.emplace(p.key, pending.size());
-        pending.push_back(std::move(p));
+        if (out != nullptr)
+            out->push_back(e);
     }
-
-    std::vector<std::size_t> to_compute;
-    for (std::size_t i = 0; i < pending.size(); ++i)
-        if (!pending[i].resolved)
-            to_compute.push_back(i);
     solves_ += to_compute.size();
 
     // Contiguous chunks, one incremental Materializer (and epoch-keyed
-    // core::Model) per chunk. Per-config results are bit-identical to
-    // fresh evaluation whatever the chunk boundaries, so the split only
-    // affects wall-clock, never bytes.
+    // core::Model) per chunk, several per worker so that workers that
+    // draw cheap solves take more chunks. Per-config results are
+    // bit-identical to fresh evaluation whatever the chunk boundaries, so
+    // the split only affects wall-clock, never bytes.
     const std::size_t workers = std::max<std::size_t>(1, opts_.threads);
-    const std::size_t chunks = std::min(to_compute.size(), workers);
+    const std::size_t chunks = std::min(to_compute.size(), 8 * workers);
     runner::parallel_for(chunks, opts_.threads, [&](std::size_t chunk) {
         Materializer mat(space_);
         std::optional<core::Model> model;
@@ -544,64 +497,98 @@ BatchEvaluator::run_batch(const std::vector<Config>& batch)
         const std::size_t lo = chunk * to_compute.size() / chunks;
         const std::size_t hi = (chunk + 1) * to_compute.size() / chunks;
         for (std::size_t u = lo; u < hi; ++u) {
-            Pending& p = pending[to_compute[u]];
-            p.eval = evaluate_with(space_, mat, model, model_epoch, p.config,
-                                   objectives_, constraints_);
+            const Config c = space_.config(to_compute[u]->first);
+            Evaluation& eval = to_compute[u]->second.eval;
+            eval = evaluate_with(space_, mat, model, model_epoch, c,
+                                 objectives_, constraints_);
             if (opts_.on_eval)
-                opts_.on_eval(p.key, p.eval);
+                opts_.on_eval(space_.canonical_key(c), eval);
         }
     });
-    for (const Pending& p : pending)
-        cache_.insert(p.key, p.eval);
+    for (Entry* e : pending)
+        cache_.insert(e->first, e->second.id, e);
+}
 
-    std::vector<ScoredConfig> out(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto pit = pending_index.find(keys[i]);
-        const Evaluation& eval = pit != pending_index.end()
-                                     ? pending[pit->second].eval
-                                     : hits.at(keys[i]);
-        ScoredConfig s;
-        s.id = io::fnv1a64(keys[i]);
-        s.key = keys[i];
-        s.config = batch[i];
-        s.objectives = eval.objectives;
-        s.feasible = eval.feasible;
-        s.finite = eval.finite;
-        s.pruned = eval.pruned;
-        s.why = eval.why;
-        archive_.emplace(s.key, s);
-        out[i] = std::move(s);
-    }
-    return out;
+ScoredConfig
+BatchEvaluator::scored(const Entry& e) const
+{
+    const Evaluation& eval = e.second.eval;
+    Config c = space_.config(e.first);
+    std::string key = space_.canonical_key(c);
+    return ScoredConfig{e.second.id, std::move(key), std::move(c),
+                        eval.objectives, eval.feasible, eval.finite,
+                        eval.pruned, eval.why};
 }
 
 std::vector<ScoredConfig>
-BatchEvaluator::archive_vector() const
+BatchEvaluator::run_batch(const std::vector<Config>& batch)
 {
+    std::vector<Entry*> entries;
+    auto it = batch.begin();
+    resolve(batch.size(), [&]() -> const Config& { return *it++; }, &entries);
     std::vector<ScoredConfig> out;
-    out.reserve(archive_.size());
-    for (const auto& [key, scored] : archive_)
-        out.push_back(scored);
+    for (const Entry* e : entries)
+        out.push_back(scored(*e));
     return out;
 }
 
-std::uint64_t
-BatchEvaluator::requests() const
+void
+BatchEvaluator::run_all()
 {
-    const auto s = cache_.stats();
-    return s.hits + s.misses;
+    const std::uint64_t total = space_.combinations();
+    if (total > opts_.exhaustive_limit)
+        throw std::invalid_argument(
+            "dse: exhaustive search over " + std::to_string(total)
+            + " combinations exceeds the limit of "
+            + std::to_string(opts_.exhaustive_limit)
+            + "; use the mutation or nsga2 strategy");
+    Config c(space_.size(), 0);
+    bool first = true;
+    resolve(static_cast<std::size_t>(total),
+            [&]() -> const Config& {
+                // Mixed-radix odometer, last knob fastest.
+                for (std::size_t k = space_.size(); !first && k-- > 0;) {
+                    if (++c[k] < space_.knob(k).values.size())
+                        break;
+                    c[k] = 0;
+                }
+                first = false;
+                return c;
+            },
+            nullptr);
 }
 
-io::LruCacheStats
-BatchEvaluator::cache_stats() const
+std::vector<ScoredConfig>
+BatchEvaluator::archive_vector(bool eligible_only) const
 {
-    return cache_.stats();
+    std::vector<ScoredConfig> out;
+    for (const Entry& e : archive_)
+        if (!eligible_only || (e.second.eval.feasible && e.second.eval.finite))
+            out.push_back(scored(e));
+    std::sort(out.begin(), out.end(),
+              [](const ScoredConfig& a, const ScoredConfig& b) {
+                  return a.key < b.key;
+              });
+    return out;
 }
 
-std::size_t
-BatchEvaluator::archive_size() const
+void
+BatchEvaluator::tally(FrontierReport& report) const
 {
-    return archive_.size();
+    report.requests = requests();
+    report.evaluated = archive_.size();
+    report.cache = cache_.stats();
+    for (const auto& [index, r] : archive_) {
+        if (!r.eval.finite)
+            ++report.quarantined;
+        else if (!r.eval.feasible)
+            ++report.infeasible;
+        // Archive flags, not live Pruner counters: journal replay
+        // preserves them, so the count is resume-deterministic.
+        if (r.eval.pruned)
+            ++report.pruned;
+    }
+    report.solves = solves_;
 }
 
 FrontierReport
@@ -626,7 +613,7 @@ explore(const DesignSpace& space,
                       pruner ? &*pruner : nullptr);
     switch (opts.strategy) {
     case Strategy::kExhaustive:
-        run_exhaustive(space, opts, ev);
+        ev.run_all();
         break;
     case Strategy::kMutation:
         run_mutation(space, opts, senses, ev);
@@ -636,10 +623,11 @@ explore(const DesignSpace& space,
         break;
     }
 
-    const std::vector<ScoredConfig> archive = ev.archive_vector();
-    // One sort-and-sweep pass yields the frontier and the dominated count
-    // of each frontier member: O(E log E + E*F) for an archive of E and a
-    // frontier of F. Only frontier members' counts are reported.
+    // Only eligible configs can be on the frontier or be dominated, so only
+    // they get a key string for the (id, key) tie-break. One sort-and-sweep
+    // pass yields the frontier and the dominated count of each frontier
+    // member: O(E log E + E*F) for E eligible configs and a frontier of F.
+    const std::vector<ScoredConfig> archive = ev.archive_vector(true);
     const DominanceSummary dom = dominance_summary(archive, senses);
     const std::vector<std::size_t>& frontier = dom.frontier;
 
@@ -647,21 +635,8 @@ explore(const DesignSpace& space,
     report.strategy = opts.strategy;
     report.seed = opts.seed;
     report.objectives = objectives;
-    report.requests = ev.requests();
-    report.evaluated = ev.archive_size();
-    report.cache = ev.cache_stats();
-    for (const ScoredConfig& s : archive) {
-        if (!s.finite)
-            ++report.quarantined;
-        else if (!s.feasible)
-            ++report.infeasible;
-        // Archive flags, not live Pruner counters: journal replay
-        // preserves them, so the count is resume-deterministic.
-        if (s.pruned)
-            ++report.pruned;
-    }
+    ev.tally(report);
     report.pruned_levels = pruner ? pruner->stats().levels_removed : 0;
-    report.solves = ev.solves();
     report.frontier.resize(frontier.size());
     runner::parallel_for(
         frontier.size(), opts.threads, [&](std::size_t i) {

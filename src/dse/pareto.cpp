@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace lognic::dse {
@@ -91,8 +92,7 @@ class DominanceMatrix {
         }
         // Sort row positions into `flat`; ties keep input (index) order.
         std::vector<std::size_t> order(members.size());
-        for (std::size_t r = 0; r < order.size(); ++r)
-            order[r] = r;
+        std::iota(order.begin(), order.end(), std::size_t{0});
         std::sort(order.begin(), order.end(),
                   [&](std::size_t a, std::size_t b) {
                       const double* x = flat.data() + a * width_;

@@ -20,24 +20,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Split "vertex.<name>.parallelism"-style paths on dots.
-std::vector<std::string>
-split_path(const std::string& path)
-{
-    std::vector<std::string> parts;
-    std::size_t begin = 0;
-    while (begin <= path.size()) {
-        const std::size_t dot = path.find('.', begin);
-        if (dot == std::string::npos) {
-            parts.push_back(path.substr(begin));
-            break;
-        }
-        parts.push_back(path.substr(begin, dot - begin));
-        begin = dot + 1;
-    }
-    return parts;
-}
-
 /// What a knob's declared path can structurally touch.
 struct KnobClass {
     enum Kind {
@@ -59,7 +41,7 @@ struct KnobClass {
 KnobClass
 classify(const std::string& name)
 {
-    const auto parts = split_path(name);
+    const auto parts = split_knob_path(name);
     if (name == "placement.nf_chain")
         return {KnobClass::kPlacement, {}};
     if (parts.size() == 3 && parts[0] == "vertex") {
@@ -102,29 +84,26 @@ violated(const std::string& metric, double value, bool exact)
 
 } // namespace
 
+constexpr std::pair<PruneMode, const char*> kPruneModes[] = {
+    {PruneMode::kOff, "off"},
+    {PruneMode::kOn, "on"},
+    {PruneMode::kExplain, "explain"}};
+
 std::string
 prune_mode_name(PruneMode m)
 {
-    switch (m) {
-    case PruneMode::kOff:
-        return "off";
-    case PruneMode::kOn:
-        return "on";
-    case PruneMode::kExplain:
-        return "explain";
-    }
+    for (const auto& [value, name] : kPruneModes)
+        if (value == m)
+            return name;
     return "unknown";
 }
 
 PruneMode
 prune_mode_from_name(const std::string& name)
 {
-    if (name == "off")
-        return PruneMode::kOff;
-    if (name == "on")
-        return PruneMode::kOn;
-    if (name == "explain")
-        return PruneMode::kExplain;
+    for (const auto& [value, n] : kPruneModes)
+        if (name == n)
+            return value;
     throw std::invalid_argument("dse: unknown prune mode '" + name
                                 + "' (off, on, explain)");
 }
@@ -344,12 +323,6 @@ Pruner::offered(const Config& c) const
 }
 
 bool
-Pruner::level_alive(std::size_t knob, std::size_t level) const
-{
-    return removed_why_[knob][level].empty();
-}
-
-bool
 Pruner::level_removed(std::size_t knob, std::uint32_t level) const
 {
     return !removed_why_.at(knob).at(level).empty();
@@ -407,7 +380,7 @@ Pruner::narrow_domains()
     const auto surviving = [&](std::size_t k) {
         std::vector<std::size_t> out;
         for (std::size_t l = 0; l < removed_why_[k].size(); ++l)
-            if (level_alive(k, l))
+            if (removed_why_[k][l].empty())
                 out.push_back(l);
         return out;
     };
@@ -430,43 +403,35 @@ Pruner::narrow_domains()
         const auto fold = [&](Bandwidth b) {
             m = m ? std::min(*m, b) : b;
         };
-        for (const TermBound& t : st.terms) {
-            if (t.knob < 0) {
-                fold(t.constant);
-                continue;
-            }
-            const auto tk = static_cast<std::size_t>(t.knob);
-            if (tk == k) {
-                fold(t.by_level[l]);
-                continue;
-            }
+        // Knob tk's table at level l when tk is k, else its extreme over
+        // tk's surviving levels (none when tk was emptied).
+        const auto at = [&](std::size_t tk,
+                            const std::vector<Bandwidth>& by_level) {
             std::optional<Bandwidth> ext;
-            for (std::size_t tl : surviving(tk)) {
-                const Bandwidth b = t.by_level[tl];
+            for (std::size_t tl : tk == k ? std::vector<std::size_t>{l}
+                                          : surviving(tk)) {
+                const Bandwidth b = by_level[tl];
                 if (!ext || (maximize ? b > *ext : b < *ext))
                     ext = b;
             }
-            if (!ext)
+            return ext;
+        };
+        for (const TermBound& t : st.terms) {
+            const auto b = t.knob < 0
+                ? std::optional<Bandwidth>(t.constant)
+                : at(static_cast<std::size_t>(t.knob), t.by_level);
+            if (!b)
                 return std::nullopt; // knob emptied; nothing to prove
-            fold(*ext);
+            fold(*b);
         }
         if (use_offered) {
-            if (traffic_knob_ < 0) {
-                fold(offered_const_);
-            } else if (static_cast<std::size_t>(traffic_knob_) == k) {
-                fold(offered_by_level_[l]);
-            } else {
-                std::optional<Bandwidth> ext;
-                for (std::size_t tl :
-                     surviving(static_cast<std::size_t>(traffic_knob_))) {
-                    const Bandwidth b = offered_by_level_[tl];
-                    if (!ext || (maximize ? b > *ext : b < *ext))
-                        ext = b;
-                }
-                if (!ext)
-                    return std::nullopt;
-                fold(*ext);
-            }
+            const auto b = traffic_knob_ < 0
+                ? std::optional<Bandwidth>(offered_const_)
+                : at(static_cast<std::size_t>(traffic_knob_),
+                     offered_by_level_);
+            if (!b)
+                return std::nullopt;
+            fold(*b);
         }
         if (!m)
             return std::nullopt;
@@ -590,7 +555,7 @@ Pruner::narrow_domains()
     stats_.levels_removed = 0;
     for (std::size_t k = 0; k < n; ++k)
         for (std::size_t l = 0; l < removed_why_[k].size(); ++l)
-            if (!level_alive(k, l))
+            if (!removed_why_[k][l].empty())
                 ++stats_.levels_removed;
 }
 
@@ -639,12 +604,12 @@ Pruner::explain() const
         const Knob& knob = space_.knob(k);
         std::size_t alive = 0;
         for (std::size_t l = 0; l < knob.values.size(); ++l)
-            if (level_alive(k, l))
+            if (removed_why_[k][l].empty())
                 ++alive;
         os << "  knob " << knob.name << ": " << alive << "/"
            << knob.values.size() << " level(s) survive\n";
         for (std::size_t l = 0; l < knob.values.size(); ++l)
-            if (!level_alive(k, l))
+            if (!removed_why_[k][l].empty())
                 os << "    level " << io::format_double(knob.values[l])
                    << " removed: " << removed_why_[k][l] << "\n";
     }

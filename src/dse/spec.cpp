@@ -125,30 +125,16 @@ explore_spec_from_json(const io::Json& doc)
 std::string
 sample_explore_spec()
 {
-    io::Json dse;
-    dse.set("base", io::Json("nf_chain"));
-    io::Json traffic;
-    traffic.set("rate_gbps", io::Json(50.0));
-    traffic.set("packet_bytes", io::Json(1500.0));
-    dse.set("traffic", std::move(traffic));
-    io::Json knobs{io::JsonArray{}};
-    knobs.push_back(io::Json("placement.nf_chain"));
-    dse.set("knobs", std::move(knobs));
-    io::Json objectives{io::JsonArray{}};
-    objectives.push_back(io::Json("throughput_gbps"));
-    objectives.push_back(io::Json("p99_latency_us"));
-    dse.set("objectives", std::move(objectives));
-    dse.set("strategy", io::Json("exhaustive"));
-    dse.set("seed", io::Json(42));
-    io::Json des;
-    des.set("enabled", io::Json(true));
-    des.set("replications", io::Json(2));
-    des.set("duration", io::Json(0.005));
-    des.set("warmup_fraction", io::Json(0.2));
-    dse.set("des", std::move(des));
-    io::Json doc;
-    doc.set("dse", std::move(dse));
-    return doc.dump(2);
+    return io::Json::parse(R"({"dse": {
+        "base": "nf_chain",
+        "traffic": {"rate_gbps": 50, "packet_bytes": 1500},
+        "knobs": ["placement.nf_chain"],
+        "objectives": ["throughput_gbps", "p99_latency_us"],
+        "strategy": "exhaustive",
+        "seed": 42,
+        "des": {"enabled": true, "replications": 2, "duration": 0.005,
+                "warmup_fraction": 0.2}}})")
+        .dump(2);
 }
 
 } // namespace lognic::dse

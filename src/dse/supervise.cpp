@@ -68,6 +68,15 @@ campaign_fingerprint(const DesignSpace& space,
     return fp;
 }
 
+/// DesValidation's double fields by journal name, hex-encoded bit-exactly.
+constexpr std::pair<const char*, double DesValidation::*> kDesDoubles[] = {
+    {"delivered_gbps", &DesValidation::delivered_gbps},
+    {"mean_latency_us", &DesValidation::mean_latency_us},
+    {"p99_latency_us", &DesValidation::p99_latency_us},
+    {"drop_rate", &DesValidation::drop_rate},
+    {"throughput_disagreement", &DesValidation::throughput_disagreement},
+    {"p99_disagreement", &DesValidation::p99_disagreement}};
+
 } // namespace
 
 // --- journal entry serialization ----------------------------------------------
@@ -111,37 +120,23 @@ des_validation_to_json(const DesValidation& v)
     j.set("error", io::Json(v.error));
     j.set("seed", io::Json(io::u64_to_hex(v.seed)));
     j.set("replications", io::Json(io::u64_to_hex(v.replications)));
-    j.set("delivered_gbps", io::Json(io::double_to_hex(v.delivered_gbps)));
-    j.set("mean_latency_us",
-          io::Json(io::double_to_hex(v.mean_latency_us)));
-    j.set("p99_latency_us", io::Json(io::double_to_hex(v.p99_latency_us)));
-    j.set("drop_rate", io::Json(io::double_to_hex(v.drop_rate)));
-    j.set("throughput_disagreement",
-          io::Json(io::double_to_hex(v.throughput_disagreement)));
-    j.set("p99_disagreement",
-          io::Json(io::double_to_hex(v.p99_disagreement)));
+    for (const auto& [name, field] : kDesDoubles)
+        j.set(name, io::Json(io::double_to_hex(v.*field)));
     return j;
 }
 
 DesValidation
 des_validation_from_json(const io::Json& j)
 {
-    const auto dbl = [&](const char* key) {
-        return io::double_from_hex(j.at(key).as_string(),
-                                   std::string("des validation ") + key);
-    };
     DesValidation v;
     v.ok = j.at("ok").as_bool();
     v.error = j.at("error").as_string();
     v.seed = io::parse_u64(j.at("seed").as_string(), "des validation seed");
     v.replications = io::parse_u64(j.at("replications").as_string(),
                                    "des validation replications");
-    v.delivered_gbps = dbl("delivered_gbps");
-    v.mean_latency_us = dbl("mean_latency_us");
-    v.p99_latency_us = dbl("p99_latency_us");
-    v.drop_rate = dbl("drop_rate");
-    v.throughput_disagreement = dbl("throughput_disagreement");
-    v.p99_disagreement = dbl("p99_disagreement");
+    for (const auto& [name, field] : kDesDoubles)
+        v.*field = io::double_from_hex(j.at(name).as_string(),
+                                       std::string("des validation ") + name);
     return v;
 }
 

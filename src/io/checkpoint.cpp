@@ -36,8 +36,7 @@ std::string dir_of(const std::string& path) {
 
 } // namespace
 
-std::uint64_t fnv1a64(std::string_view data) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a64(std::string_view data, std::uint64_t h) {
     for (const char c : data) {
         h ^= static_cast<unsigned char>(c);
         h *= 0x100000001b3ull;

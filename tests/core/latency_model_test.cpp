@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "../test_helpers.hpp"
 #include "lognic/queueing/mm1n.hpp"
 
@@ -157,6 +161,27 @@ TEST(LatencyModel, BoundedUnderExtremeOverloadByQueueCapacity)
     const auto est = estimate_latency(g, hw, mtu_traffic(500.0));
     // Waiting behind at most N requests of 1.375 us each plus own service.
     EXPECT_LT(est.mean.micros(), (8 + 1) * 1.375 + 0.1);
+}
+
+TEST(LatencyModel, BadSojournCurveValueThrowsNamingTheIp)
+{
+    // NaN or a negative sojourn must not fall back to C/A with zero
+    // queueing delay; the error names the IP and the arrival rate.
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1e-6}) {
+        HardwareModel hw = small_nic();
+        hw.ip(*hw.find_ip("cores")).sojourn_curve = [bad](double) {
+            return Seconds{bad};
+        };
+        const ExecutionGraph g = single_stage_graph(hw);
+        try {
+            (void)estimate_latency(g, hw, mtu_traffic(1.0));
+            FAIL() << "no throw for sojourn " << bad;
+        } catch (const std::domain_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'cores'"), std::string::npos) << what;
+            EXPECT_NE(what.find("lambda = "), std::string::npos) << what;
+        }
+    }
 }
 
 } // namespace

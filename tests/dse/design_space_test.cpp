@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "lognic/apps/nf_chain.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/io/checkpoint.hpp"
 
 using namespace lognic;
 using dse::Config;
@@ -142,6 +146,58 @@ TEST(DesignSpace, CanonicalKeyAndFingerprint)
     // Key names the knob and the level *value*, not the index.
     EXPECT_NE(space.canonical_key(a).find("interface_gbps="),
               std::string::npos);
+}
+
+TEST(DesignSpace, FingerprintFoldsTheCanonicalKey)
+{
+    DesignSpace space(nf_base());
+    space.add("interface_gbps", {50.0, 100.0, 400.0});
+    space.add("traffic.rate_gbps", {5.0, 10.0});
+    for (std::uint32_t i = 0; i < 3; ++i)
+        for (std::uint32_t r = 0; r < 2; ++r) {
+            const Config c{i, r};
+            EXPECT_EQ(space.fingerprint(c),
+                      io::fnv1a64(space.canonical_key(c)));
+        }
+    EXPECT_THROW(space.fingerprint({3, 0}), std::invalid_argument);
+}
+
+TEST(DesignSpace, LevelIndexIsMixedRadixLastKnobFastest)
+{
+    DesignSpace space(nf_base());
+    space.add("interface_gbps", {50.0, 100.0, 400.0});
+    space.add("traffic.rate_gbps", {5.0, 10.0});
+    EXPECT_EQ(space.index({0, 0}).word, 0u);
+    EXPECT_EQ(space.index({0, 1}).word, 1u);
+    EXPECT_EQ(space.index({2, 1}).word, 5u);
+    EXPECT_TRUE(space.index({2, 1}).levels.empty());
+    EXPECT_EQ(space.config(space.index({1, 1})), (Config{1, 1}));
+    EXPECT_THROW(space.index({0, 2}), std::invalid_argument);
+}
+
+TEST(DesignSpace, LevelIndexOfSpacesBeyondU64IsTheLevelVector)
+{
+    // 20 knobs of 10 levels: 1e20 combinations, more than a u64 holds.
+    DesignSpace space(nf_base());
+    for (int k = 0; k < 20; ++k) {
+        dse::Knob knob;
+        knob.name = "custom." + std::to_string(k);
+        for (int l = 0; l < 10; ++l)
+            knob.values.push_back(l);
+        knob.apply = [](io::Scenario&, double) {};
+        space.add_custom(std::move(knob));
+    }
+    EXPECT_EQ(space.combinations(), std::numeric_limits<std::uint64_t>::max());
+    Config a(20, 9);
+    Config b = a;
+    b[0] = 8; // differs only in the slowest knob
+    const dse::ConfigIndex ia = space.index(a);
+    const dse::ConfigIndex ib = space.index(b);
+    EXPECT_EQ(ia.levels, a);
+    EXPECT_FALSE(ia == ib);
+    EXPECT_NE(dse::ConfigIndexHash{}(ia), dse::ConfigIndexHash{}(ib));
+    EXPECT_EQ(space.config(ia), a);
+    EXPECT_EQ(space.config(ib), b);
 }
 
 TEST(DesignSpace, CostIsWeightedLevelSum)
