@@ -41,13 +41,25 @@ struct Violation {
     double tolerance{0.0};
 };
 
-io::Json to_json(const Violation& v);
+/**
+ * Violation's readable field list, for an io::RecordWriter (a const
+ * Violation) or io::RecordReader: the numbers are plain JSON numbers,
+ * which a reader skips (they carry neither non-finite nor every finite
+ * double). Checkpoint journals add the exact encoding under *_bits keys.
+ */
+template <typename IO, typename V>
+void
+violation_fields(IO& io, V& v)
+{
+    io.field("oracle", v.oracle);
+    io.field("subject", v.subject);
+    io.field("message", v.message);
+    io.display("measured", v.measured);
+    io.display("expected", v.expected);
+    io.display("tolerance", v.tolerance);
+}
 
-/// Inverse of to_json(Violation) — checkpoint journals round-trip
-/// violations through JSON. Note the doubles travel as JSON numbers here;
-/// journals that need bit-exactness encode them separately (the ckpt
-/// journal stores hex bit patterns alongside).
-Violation violation_from_json(const io::Json& j);
+io::Json to_json(const Violation& v);
 
 struct InvariantTolerances {
     /// Relative slack on identities that are exact up to floating point.

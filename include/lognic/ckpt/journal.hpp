@@ -5,11 +5,11 @@
  *
  * A journal is a keyed map of finished units of work that round-trips
  * through JSON *bit-exactly*: every double travels as the hex of its
- * IEEE-754 bit pattern and every u64 as a hex string (see io/checkpoint.hpp
- * for why the plain JSON number path cannot carry them). That
- * bit-exactness is what lets a resumed run replay journaled outcomes
- * verbatim and still produce a report byte-identical to an uninterrupted
- * run.
+ * IEEE-754 bit pattern and every u64 as a hex string, through the one
+ * record codec in io/record.hpp (which says why JSON numbers cannot carry
+ * them). That bit-exactness is what lets a resumed run replay journaled
+ * outcomes verbatim and still produce a report byte-identical to an
+ * uninterrupted run.
  *
  * One class template, Journal<Codec>, serves every workload. Its codec
  * names the document section, the key type and the key's JSON field, and
@@ -43,8 +43,8 @@
 
 #include "lognic/calib/calibrator.hpp"
 #include "lognic/check/harness.hpp"
-#include "lognic/io/checkpoint.hpp"
 #include "lognic/io/json.hpp"
+#include "lognic/io/record.hpp"
 #include "lognic/runner/replicator.hpp"
 #include "lognic/sim/nic_simulator.hpp"
 
@@ -52,11 +52,11 @@ namespace lognic::ckpt {
 
 // --- bit-exact serialization of result types ----------------------------------
 
-/// MetricsSnapshot with hex-encoded values (counters, gauges, histogram
-/// bounds/counts/sum). Key order is the map's — deterministic.
-io::Json metrics_to_json(const obs::MetricsSnapshot& m);
-/// @throws std::runtime_error naming the offending field on bad input.
-obs::MetricsSnapshot metrics_from_json(const io::Json& j);
+// Each type lists its fields once in journal.cpp; these walk that list
+// through io::write_record / io::read_record (io/record.hpp), so every
+// field saved is a field restored. Loading throws std::runtime_error
+// naming the field ("journal.result.generated") when one is missing or
+// malformed.
 
 /// Full-fidelity SimResult: every scalar, the per-vertex stats, and the
 /// structured metrics snapshot, all bit-exact through a dump/parse cycle.
@@ -88,26 +88,15 @@ protected:
     ~JournalDocument() = default;
 };
 
-/// Key codec for units numbered by index: the key travels as hex u64.
+/// Units numbered by index: the key field is a record-codec u64 (hex).
 struct IndexKey {
     using Key = std::size_t;
-    static io::Json key_to_json(Key k) { return io::u64_to_hex(k); }
-    static Key key_from_json(const io::Json& j, const std::string& field)
-    {
-        return static_cast<Key>(
-            io::parse_u64(j.as_string(), "journal field " + field));
-    }
     static std::string describe(Key k) { return std::to_string(k); }
 };
 
-/// Key codec for units named by a stable string.
+/// Units named by a stable string.
 struct NameKey {
     using Key = std::string;
-    static io::Json key_to_json(const Key& k) { return k; }
-    static Key key_from_json(const io::Json& j, const std::string&)
-    {
-        return j.as_string();
-    }
     static std::string describe(const Key& k) { return "'" + k + "'"; }
 };
 
@@ -138,7 +127,7 @@ public:
             std::lock_guard<std::mutex> lock(mutex_);
             for (const auto& [key, done] : entries_) {
                 io::Json e = Codec::encode(done);
-                e.set(Codec::kKeyField, Codec::key_to_json(key));
+                e.set(Codec::kKeyField, io::RecordWriter::encode(key));
                 entries.push_back(std::move(e));
             }
         }
@@ -151,8 +140,8 @@ public:
     {
         std::map<Key, Record> loaded;
         for (const io::Json& e : j.at(Codec::kSection).as_array()) {
-            Key key = Codec::key_from_json(e.at(Codec::kKeyField),
-                                           Codec::kKeyField);
+            Key key{};
+            io::RecordReader(e, Codec::kName).field(Codec::kKeyField, key);
             if (!loaded.try_emplace(key, Codec::decode(e)).second)
                 throw std::runtime_error(
                     std::string(Codec::kName) + ": duplicate "

@@ -27,7 +27,11 @@
  * that failed has final_loss = inf) and %.17g for the rest, so doubles
  * inside checkpoint payloads are stored as the hex of their IEEE-754 bit
  * pattern and u64 values (seeds, counters) as hex strings, immune to the
- * double-precision limit of JSON numbers.
+ * double-precision limit of JSON numbers. Payloads do not call them field
+ * by field: every journal entry and simulator snapshot goes through the
+ * record codec in io/record.hpp, where each type lists its fields once
+ * and save and load walk the same list. u64_field()/size_field() remain
+ * for the hand-written spec and report readers.
  */
 #ifndef LOGNIC_IO_CHECKPOINT_HPP_
 #define LOGNIC_IO_CHECKPOINT_HPP_

@@ -232,9 +232,12 @@ class NicSimulator {
 
     /**
      * Serialize the complete mid-run state (clock, calendar, RNG, packet
-     * and vertex state, recorders) at the current event boundary. Doubles
-     * travel as hex bit patterns, so a dump → parse → load round-trip is
-     * bit-exact. Callable between begin()/advance() calls.
+     * and vertex state, recorders) at the current event boundary. Save
+     * and load walk one field list per record through the io/record.hpp
+     * codec: doubles and counters travel as hex bit patterns, so a dump →
+     * parse → load round-trip is bit-exact, and indices (packet class,
+     * pending edge/vertex, queue and engine slots) as bounded counts.
+     * Callable between begin()/advance() calls.
      */
     io::Json save_state() const;
 
@@ -242,7 +245,9 @@ class NicSimulator {
      * Restore a snapshot into a *fresh* simulator built from the same
      * (hw, graph, traffic, options). Replaces begin(): call advance()
      * next. @throws std::runtime_error on a config-fingerprint mismatch
-     * or malformed snapshot, std::logic_error after begin()/run().
+     * or a malformed snapshot (a missing, mistyped or out-of-range field
+     * is named: "snapshot.vertices[2].rr_cursor must be a whole number
+     * below 1, got 99"), std::logic_error after begin()/run().
      */
     void load_state(const io::Json& snapshot);
 

@@ -1,6 +1,5 @@
 #include "lognic/calib/report.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,27 +8,6 @@
 namespace lognic::calib {
 
 namespace {
-
-std::string
-hex_seed(std::uint64_t seed)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(seed));
-    return buf;
-}
-
-std::uint64_t
-seed_from_json(const io::Json& j, const std::string& key)
-{
-    if (!j.contains(key))
-        return 0;
-    const io::Json& v = j.at(key);
-    if (v.is_number())
-        return static_cast<std::uint64_t>(v.as_number());
-    return io::parse_u64(v.as_string(),
-                         "calibration report field \"" + key + "\"");
-}
 
 io::Json
 vector_to_json(const solver::Vector& v)
@@ -109,7 +87,7 @@ to_json(const StartOutcome& s)
 {
     io::Json j;
     j.set("index", static_cast<double>(s.index));
-    j.set("seed", hex_seed(s.seed));
+    j.set("seed", io::u64_to_hex(s.seed));
     j.set("initial_loss", s.initial_loss);
     j.set("final_loss", s.final_loss);
     j.set("converged", s.converged);
@@ -126,22 +104,19 @@ StartOutcome
 start_from_json(const io::Json& j)
 {
     StartOutcome s;
-    s.index = static_cast<std::size_t>(j.number_or("index", 0.0));
-    s.seed = seed_from_json(j, "seed");
+    const std::string ctx = "calibration start outcome";
+    s.index = io::size_field(j, "index", 0, ctx);
+    s.seed = io::u64_field(j, "seed", 0, ctx);
     s.initial_loss = j.number_or("initial_loss", 0.0);
     s.final_loss = j.number_or("final_loss", 0.0);
     s.converged = j.contains("converged") && j.at("converged").as_bool();
     s.failed = j.contains("failed") && j.at("failed").as_bool();
     if (j.contains("message"))
         s.message = j.at("message").as_string();
-    s.iterations =
-        static_cast<std::size_t>(j.number_or("iterations", 0.0));
-    s.model_solves =
-        static_cast<std::uint64_t>(j.number_or("model_solves", 0.0));
-    s.cache_hits =
-        static_cast<std::uint64_t>(j.number_or("cache_hits", 0.0));
-    s.cache_misses =
-        static_cast<std::uint64_t>(j.number_or("cache_misses", 0.0));
+    s.iterations = io::size_field(j, "iterations", 0, ctx);
+    s.model_solves = io::u64_field(j, "model_solves", 0, ctx);
+    s.cache_hits = io::u64_field(j, "cache_hits", 0, ctx);
+    s.cache_misses = io::u64_field(j, "cache_misses", 0, ctx);
     return s;
 }
 
@@ -161,7 +136,7 @@ FoldOutcome
 fold_from_json(const io::Json& j)
 {
     FoldOutcome f;
-    f.fold = static_cast<std::size_t>(j.number_or("fold", 0.0));
+    f.fold = io::size_field(j, "fold", 0, "calibration fold");
     f.train_error = j.number_or("train_error", 0.0);
     f.validation_error = j.number_or("validation_error", 0.0);
     f.failed = j.contains("failed") && j.at("failed").as_bool();
@@ -185,8 +160,7 @@ FitError
 fit_error_from_json(const io::Json& j)
 {
     FitError e;
-    e.observations =
-        static_cast<std::size_t>(j.number_or("observations", 0.0));
+    e.observations = io::size_field(j, "observations", 0, "calibration fit");
     e.throughput = j.number_or("throughput", 0.0);
     e.latency = j.number_or("latency", 0.0);
     e.worst_throughput = j.number_or("worst_throughput", 0.0);
@@ -201,7 +175,7 @@ to_json(const CalibrationReport& report)
     io::Json j;
     j.set("device", report.device);
     j.set("backend", report.backend);
-    j.set("seed", hex_seed(report.seed));
+    j.set("seed", io::u64_to_hex(report.seed));
     j.set("starts", static_cast<double>(report.starts));
 
     io::Json names{io::JsonArray{}};
@@ -256,8 +230,9 @@ report_from_json(const io::Json& j)
     CalibrationReport report;
     report.device = j.at("device").as_string();
     report.backend = j.at("backend").as_string();
-    report.seed = seed_from_json(j, "seed");
-    report.starts = static_cast<std::size_t>(j.number_or("starts", 0.0));
+    const std::string ctx = "calibration report";
+    report.seed = io::u64_field(j, "seed", 0, ctx);
+    report.starts = io::size_field(j, "starts", 0, ctx);
 
     for (const auto& n : j.at("parameter_names").as_array())
         report.parameter_names.push_back(n.as_string());
@@ -293,12 +268,9 @@ report_from_json(const io::Json& j)
             report.warnings.push_back(warning_from_json(w));
     }
 
-    report.cache_hits =
-        static_cast<std::uint64_t>(j.number_or("cache_hits", 0.0));
-    report.cache_misses =
-        static_cast<std::uint64_t>(j.number_or("cache_misses", 0.0));
-    report.model_solves =
-        static_cast<std::uint64_t>(j.number_or("model_solves", 0.0));
+    report.cache_hits = io::u64_field(j, "cache_hits", 0, ctx);
+    report.cache_misses = io::u64_field(j, "cache_misses", 0, ctx);
+    report.model_solves = io::u64_field(j, "model_solves", 0, ctx);
     if (j.contains("convergence"))
         report.convergence = vector_from_json(j.at("convergence"));
 
@@ -313,7 +285,7 @@ render(const CalibrationReport& report)
     std::ostringstream os;
     os << "calibration of " << report.device << " (" << report.backend
        << ", " << report.starts << " starts, seed "
-       << hex_seed(report.seed) << ")\n";
+       << io::u64_to_hex(report.seed) << ")\n";
     os << "  loss: " << report.initial_loss << " -> " << report.best_loss
        << (report.converged ? "  [converged: " : "  [not converged: ")
        << report.message << "]\n";

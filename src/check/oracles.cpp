@@ -1,6 +1,6 @@
 #include "lognic/check/oracles.hpp"
 
-#include "lognic/io/checkpoint.hpp"
+#include "lognic/io/record.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -325,39 +325,9 @@ check_littles_law(Collector& c, const io::Scenario& sc,
 io::Json
 to_json(const Violation& v)
 {
-    io::Json j;
-    j.set("oracle", v.oracle);
-    j.set("subject", v.subject);
-    j.set("message", v.message);
-    j.set("measured", v.measured);
-    j.set("expected", v.expected);
-    j.set("tolerance", v.tolerance);
-    return j;
-}
-
-Violation
-violation_from_json(const io::Json& j)
-{
-    Violation v;
-    v.oracle = j.at("oracle").as_string();
-    v.subject = j.at("subject").as_string();
-    v.message = j.at("message").as_string();
-    // Checkpoint journals add "*_bits" hex bit patterns next to the plain
-    // numbers: the JSON writer emits null for non-finite doubles, so only
-    // the bits form round-trips every value. Prefer it when present.
-    if (j.contains("measured_bits")) {
-        v.measured = io::double_from_hex(j.at("measured_bits").as_string(),
-                                         "violation measured_bits");
-        v.expected = io::double_from_hex(j.at("expected_bits").as_string(),
-                                         "violation expected_bits");
-        v.tolerance = io::double_from_hex(
-            j.at("tolerance_bits").as_string(), "violation tolerance_bits");
-    } else {
-        v.measured = j.number_or("measured", 0.0);
-        v.expected = j.number_or("expected", 0.0);
-        v.tolerance = j.number_or("tolerance", 0.0);
-    }
-    return v;
+    return io::write_record(v, [](auto& io, auto& violation) {
+        violation_fields(io, violation);
+    });
 }
 
 std::optional<VertexShape>

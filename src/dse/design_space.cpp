@@ -122,6 +122,11 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
     }
 
     validate_levels(path, values);
+    // A bandwidth of zero is hardware the model refuses on every config,
+    // while the pruner proves its capacity bound below any floor: the two
+    // prune modes would disagree, so such a level is refused up front.
+    if (path.ends_with("gbps") && values.front() <= 0.0)
+        bad_knob(path, "levels must be > 0");
 
     if (parts.size() == 3 && parts[0] == "vertex") {
         const std::string vertex_name = parts[1];
@@ -155,8 +160,6 @@ DesignSpace::add(const std::string& path, std::vector<double> values,
     }
 
     if (path == "traffic.rate_gbps") {
-        if (values.front() <= 0.0)
-            bad_knob(path, "levels must be > 0");
         k.values = std::move(values);
         k.patch = PatchScope::kTraffic;
         k.apply = [](io::Scenario& sc, double v) {

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "lognic/io/checkpoint.hpp"
+#include "lognic/io/record.hpp"
 #include "lognic/io/serialize.hpp"
 
 namespace lognic::dse {
@@ -68,14 +69,28 @@ campaign_fingerprint(const DesignSpace& space,
     return fp;
 }
 
-/// DesValidation's double fields by journal name, hex-encoded bit-exactly.
-constexpr std::pair<const char*, double DesValidation::*> kDesDoubles[] = {
-    {"delivered_gbps", &DesValidation::delivered_gbps},
-    {"mean_latency_us", &DesValidation::mean_latency_us},
-    {"p99_latency_us", &DesValidation::p99_latency_us},
-    {"drop_rate", &DesValidation::drop_rate},
-    {"throughput_disagreement", &DesValidation::throughput_disagreement},
-    {"p99_disagreement", &DesValidation::p99_disagreement}};
+constexpr auto evaluation_fields = [](auto& io, auto& e) {
+    io.field("objectives", e.objectives);
+    io.field("feasible", e.feasible);
+    io.field("finite", e.finite);
+    // Absent in journals written before pruning existed; those entries
+    // were all real solves.
+    io.optional("pruned", e.pruned);
+    io.field("why", e.why);
+};
+
+constexpr auto des_validation_fields = [](auto& io, auto& v) {
+    io.field("ok", v.ok);
+    io.field("error", v.error);
+    io.field("seed", v.seed);
+    io.field("replications", v.replications);
+    io.field("delivered_gbps", v.delivered_gbps);
+    io.field("mean_latency_us", v.mean_latency_us);
+    io.field("p99_latency_us", v.p99_latency_us);
+    io.field("drop_rate", v.drop_rate);
+    io.field("throughput_disagreement", v.throughput_disagreement);
+    io.field("p99_disagreement", v.p99_disagreement);
+};
 
 } // namespace
 
@@ -84,60 +99,26 @@ constexpr std::pair<const char*, double DesValidation::*> kDesDoubles[] = {
 io::Json
 evaluation_to_json(const Evaluation& e)
 {
-    io::Json j;
-    io::Json objectives{io::JsonArray{}};
-    for (double v : e.objectives)
-        objectives.push_back(io::Json(io::double_to_hex(v)));
-    j.set("objectives", std::move(objectives));
-    j.set("feasible", io::Json(e.feasible));
-    j.set("finite", io::Json(e.finite));
-    j.set("pruned", io::Json(e.pruned));
-    j.set("why", io::Json(e.why));
-    return j;
+    return io::write_record(e, evaluation_fields);
 }
 
 Evaluation
 evaluation_from_json(const io::Json& j)
 {
-    Evaluation e;
-    for (const io::Json& v : j.at("objectives").as_array())
-        e.objectives.push_back(
-            io::double_from_hex(v.as_string(), "evaluation objective"));
-    e.feasible = j.at("feasible").as_bool();
-    e.finite = j.at("finite").as_bool();
-    // Absent in journals written before pruning existed; those entries
-    // were all real solves.
-    e.pruned = j.contains("pruned") && j.at("pruned").as_bool();
-    e.why = j.at("why").as_string();
-    return e;
+    return io::read_record<Evaluation>(j, evaluation_fields, "evaluation");
 }
 
 io::Json
 des_validation_to_json(const DesValidation& v)
 {
-    io::Json j;
-    j.set("ok", io::Json(v.ok));
-    j.set("error", io::Json(v.error));
-    j.set("seed", io::Json(io::u64_to_hex(v.seed)));
-    j.set("replications", io::Json(io::u64_to_hex(v.replications)));
-    for (const auto& [name, field] : kDesDoubles)
-        j.set(name, io::Json(io::double_to_hex(v.*field)));
-    return j;
+    return io::write_record(v, des_validation_fields);
 }
 
 DesValidation
 des_validation_from_json(const io::Json& j)
 {
-    DesValidation v;
-    v.ok = j.at("ok").as_bool();
-    v.error = j.at("error").as_string();
-    v.seed = io::parse_u64(j.at("seed").as_string(), "des validation seed");
-    v.replications = io::parse_u64(j.at("replications").as_string(),
-                                   "des validation replications");
-    for (const auto& [name, field] : kDesDoubles)
-        v.*field = io::double_from_hex(j.at(name).as_string(),
-                                       std::string("des validation ") + name);
-    return v;
+    return io::read_record<DesValidation>(j, des_validation_fields,
+                                          "des validation");
 }
 
 // --- ExploreJournal -----------------------------------------------------------

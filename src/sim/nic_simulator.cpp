@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <stdexcept>
 
-#include "lognic/io/checkpoint.hpp"
+#include "lognic/io/record.hpp"
 #include "lognic/sim/packet_slab.hpp"
 #include "run_ledger.hpp"
 
@@ -55,37 +56,6 @@ struct Packet {
     std::uint64_t serial{0};    ///< pending_kind 2, faults active only
 };
 
-/// Snapshot encodings: doubles and counters travel as hex bit patterns,
-/// so a dump -> parse -> load round-trip is bit-exact.
-io::Json
-hex_d(double v)
-{
-    return io::Json(io::double_to_hex(v));
-}
-
-io::Json
-hex_u(std::uint64_t v)
-{
-    return io::Json(io::u64_to_hex(v));
-}
-
-io::Json
-num(double v)
-{
-    return io::Json(v);
-}
-
-/// A JSON array holding @p encode of every element of @p range.
-template <typename Range, typename Encode>
-io::Json
-json_array(const Range& range, Encode encode)
-{
-    io::JsonArray arr;
-    for (const auto& x : range)
-        arr.push_back(encode(x));
-    return io::Json(std::move(arr));
-}
-
 /// FIFO bandwidth server: transfers serialize, later ones wait.
 struct LinkServer {
     Bandwidth bw{Bandwidth::from_gbps(0.0)};
@@ -104,6 +74,22 @@ struct LinkServer {
         return free_at;
     }
 };
+
+/// Snapshot field lists (io/record.hpp) of a LinkServer and of a stale
+/// completion event.
+constexpr auto link_fields = [](auto& io, auto& l) {
+    io.field("free_at", l.free_at);
+    io.field("factor", l.factor);
+};
+
+constexpr auto stale_fields = [](auto& io, auto& ev) {
+    io.field("when", ev.when);
+    io.field("seq", ev.seq);
+    io.field("serial", ev.serial);
+};
+
+/// The snapshot key of the configuration fingerprint.
+constexpr const char* kConfigKey = "config";
 
 } // namespace
 
@@ -970,48 +956,154 @@ struct NicSimulator::Impl {
     config_fingerprint() const
     {
         io::JsonObject fp;
-        fp["seed"] = hex_u(options.seed);
-        fp["duration"] = hex_d(options.duration);
-        fp["warmup_fraction"] = hex_d(options.warmup_fraction);
-        fp["exponential_service"] = io::Json(options.exponential_service);
-        fp["poisson_arrivals"] = io::Json(options.poisson_arrivals);
-        fp["burst"] = io::Json(options.burst.enabled);
-        fp["vertices"] = num(graph.vertex_count());
-        fp["edges"] = num(graph.edge_count());
-        fp["classes"] = num(traffic.classes().size());
-        fp["faults"] = num(scheduled_faults.size());
+        fp["seed"] = io::u64_to_hex(options.seed);
+        fp["duration"] = io::double_to_hex(options.duration);
+        fp["warmup_fraction"] = io::double_to_hex(options.warmup_fraction);
+        fp["exponential_service"] = options.exponential_service;
+        fp["poisson_arrivals"] = options.poisson_arrivals;
+        fp["burst"] = options.burst.enabled;
+        fp["vertices"] = static_cast<double>(graph.vertex_count());
+        fp["edges"] = static_cast<double>(graph.edge_count());
+        fp["classes"] = static_cast<double>(traffic.classes().size());
+        fp["faults"] = static_cast<double>(scheduled_faults.size());
         return io::Json(std::move(fp));
     }
 
-    io::Json
-    packet_to_json(const Packet& p) const
+    /**
+     * The snapshot's field list, walked by save_json (Self = const Impl)
+     * and load_json (Self = Impl). Packets are listed by id, and queues
+     * and in-service entries name them by id; loading acquires a slab
+     * slot per packet and resolves the ids. Every index a snapshot holds
+     * is a bounded count, so a malformed one is refused by name before
+     * anything indexes with it.
+     */
+    template <typename IO, typename Self>
+    static void
+    snapshot_fields(IO& io, Self& s)
     {
-        io::JsonObject o;
-        o["id"] = hex_u(p.id);
-        o["class"] = num(p.class_index);
-        o["size"] = hex_d(p.app_size.bytes());
-        o["created"] = hex_d(p.created);
-        o["enqueued"] = hex_d(p.enqueued);
-        o["pending_kind"] = num(p.pending_kind);
-        o["pending_stage"] = num(p.pending_stage);
-        o["pending_edge"] = num(p.pending_edge);
-        o["pending_vertex"] = num(p.pending_vertex);
-        o["pending_slot"] = num(p.pending_slot);
-        o["pending_when"] = hex_d(p.pending_when);
-        o["pending_seq"] = hex_u(p.pending_seq);
-        o["service_start"] = hex_d(p.service_start);
-        o["service_time"] = hex_d(p.service_time);
-        o["serial"] = hex_u(p.serial);
-        return io::Json(std::move(o));
+        RunLedger::fields(io, s.ledger);
+        io.field("fault_seqs", s.fault_seqs);
+        std::vector<StaleEvent> stale = s.stale_events;
+        std::sort(stale.begin(), stale.end(),
+                  [](const StaleEvent& a, const StaleEvent& b) {
+                      return a.seq < b.seq;
+                  });
+        io.records("stale", stale, stale_fields);
+        io.record("arrival", s, [](auto& aio, auto& a) {
+            aio.field("pending", a.arrival_pending);
+            aio.field("peak", a.arrival_peak);
+            aio.field("when", a.arrival_when);
+            aio.field("seq", a.arrival_seq);
+        });
+        std::vector<Packet> packets;
+        for (const auto& entry : s.live_packets)
+            packets.push_back(*entry.second);
+        io.records("packets", packets, [&s](auto& pio, auto& p) {
+            s.packet_fields(pio, p);
+        });
+        io.record("interface_link", s.interface_link, link_fields);
+        io.record("memory_link", s.memory_link, link_fields);
+        io.records("dedicated_links", std::span(s.dedicated_links),
+                   link_fields);
+        if constexpr (IO::kReading) {
+            s.stale_events = std::move(stale);
+            // Slab slot assignment is invisible to results (nothing keys
+            // on pointer values), so restored packets need not reuse the
+            // original slots.
+            s.live_packets.clear();
+            for (const Packet& saved : packets) {
+                Packet* p = s.packet_slab.acquire();
+                *p = saved;
+                if (!s.live_packets.emplace(p->id, p).second)
+                    throw std::runtime_error(
+                        "NicSimulator::load_state: duplicate packet id");
+            }
+        }
+        io.records("vertices", std::span(s.vertices),
+                   [&s](auto& vio, auto& st) { s.vertex_fields(vio, st); });
     }
 
-    static io::Json
-    link_to_json(const LinkServer& l)
+    template <typename IO, typename P>
+    void
+    packet_fields(IO& io, P& p) const
     {
-        io::JsonObject o;
-        o["free_at"] = hex_d(l.free_at);
-        o["factor"] = hex_d(l.factor);
-        return io::Json(std::move(o));
+        io.field("id", p.id);
+        io.count("class", p.class_index, traffic.classes().size());
+        io.field("size", p.app_size);
+        io.field("created", p.created);
+        io.field("enqueued", p.enqueued);
+        io.count("pending_kind", p.pending_kind, 3);
+        io.count("pending_stage", p.pending_stage, 4);
+        io.count("pending_edge", p.pending_edge, graph.edge_count());
+        io.count("pending_vertex", p.pending_vertex, graph.vertex_count());
+        io.count("pending_slot", p.pending_slot,
+                 vertices[p.pending_vertex].engines);
+        io.field("pending_when", p.pending_when);
+        io.field("pending_seq", p.pending_seq);
+        io.field("service_start", p.service_start);
+        io.field("service_time", p.service_time);
+        io.field("serial", p.serial);
+    }
+
+    template <typename IO, typename St>
+    void
+    vertex_fields(IO& io, St& st) const
+    {
+        io.count("busy", st.busy, std::uint64_t{st.engines} + 1);
+        io.count("engines_offline", st.engines_offline,
+                 std::uint64_t{st.engines} + 1);
+        io.field("slow_factor", st.slow_factor);
+        io.field("drop_prob", st.drop_prob);
+        io.count("capacity_override", st.capacity_override,
+                 std::uint64_t{1} << 32);
+        io.field("area_busy", st.area_busy);
+        io.field("area_occupancy", st.area_occupancy);
+        io.field("last_change", st.last_change);
+        io.field("served", st.served);
+        io.field("dropped", st.dropped);
+        io.count("rr_cursor", st.rr_cursor,
+                 std::max<std::size_t>(st.queues.size(), 1));
+        std::vector<std::vector<std::uint64_t>> queued;
+        for (const auto& q : st.queues) {
+            auto& ids = queued.emplace_back();
+            for (const Packet* p : q)
+                ids.push_back(p->id);
+        }
+        io.field("queues", std::span(queued)); // one id list per queue
+        if constexpr (IO::kReading) {
+            for (std::size_t q = 0; q < queued.size(); ++q) {
+                st.queues[q].clear();
+                for (const std::uint64_t id : queued[q])
+                    st.queues[q].push_back(find_packet(id));
+            }
+        }
+        io.records("in_service", st.in_service, [&](auto& eio, auto& e) {
+            in_service_fields(eio, e, st);
+        });
+    }
+
+    template <typename IO, typename E>
+    void
+    in_service_fields(IO& io, E& e, const VertexState& st) const
+    {
+        std::uint64_t id = e.pkt != nullptr ? e.pkt->id : 0;
+        io.field("serial", e.serial);
+        io.field("id", id);
+        io.count("qi", e.qi, st.queues.size());
+        io.count("slot", e.slot, st.engines);
+        if constexpr (IO::kReading)
+            e.pkt = find_packet(id);
+    }
+
+    Packet*
+    find_packet(std::uint64_t id) const
+    {
+        const auto it = live_packets.find(id);
+        if (it == live_packets.end())
+            throw std::runtime_error(
+                "NicSimulator::load_state: snapshot references an unknown "
+                "packet id");
+        return it->second;
     }
 
     io::Json
@@ -1023,104 +1115,10 @@ struct NicSimulator::Impl {
         if (finalized)
             throw std::logic_error(
                 "NicSimulator::save_state: already finalized");
-        io::JsonObject o;
-        o["config"] = config_fingerprint();
-        o["now"] = hex_d(ledger.events.now());
-        o["next_seq"] = hex_u(ledger.events.next_seq());
-        o["executed"] = hex_u(ledger.events.executed());
-        o["rng"] = io::Json(ledger.rng.save_state());
-        o["generated"] = hex_u(ledger.generated);
-        o["completed_total"] = hex_u(ledger.completed_total);
-        o["dropped_cause"] = json_array(ledger.dropped_cause, hex_u);
-        o["in_transit"] = hex_u(ledger.in_transit);
-        o["next_serial"] = hex_u(ledger.next_serial);
-        o["fault_events_applied"] = hex_u(ledger.fault_events_applied);
-        {
-            std::vector<std::uint64_t> ks(ledger.killed.begin(),
-                                          ledger.killed.end());
-            std::sort(ks.begin(), ks.end());
-            o["killed"] = json_array(ks, hex_u);
-        }
-        o["fault_seqs"] = json_array(fault_seqs, hex_u);
-        {
-            std::vector<StaleEvent> stale = stale_events;
-            std::sort(stale.begin(), stale.end(),
-                      [](const StaleEvent& a, const StaleEvent& b) {
-                          return a.seq < b.seq;
-                      });
-            o["stale"] = json_array(stale, [](const StaleEvent& ev) {
-                io::JsonObject so;
-                so["when"] = hex_d(ev.when);
-                so["seq"] = hex_u(ev.seq);
-                so["serial"] = hex_u(ev.serial);
-                return io::Json(std::move(so));
-            });
-        }
-        {
-            io::JsonObject a;
-            a["pending"] = io::Json(arrival_pending);
-            a["peak"] = hex_d(arrival_peak);
-            a["when"] = hex_d(arrival_when);
-            a["seq"] = hex_u(arrival_seq);
-            o["arrival"] = io::Json(std::move(a));
-        }
-        o["packets"] = json_array(live_packets, [this](const auto& entry) {
-            return packet_to_json(*entry.second);
-        });
-        o["interface_link"] = link_to_json(interface_link);
-        o["memory_link"] = link_to_json(memory_link);
-        o["dedicated_links"] = json_array(dedicated_links, link_to_json);
-        {
-            io::JsonArray arr;
-            for (const VertexState& st : vertices) {
-                io::JsonObject vo;
-                vo["busy"] = num(st.busy);
-                vo["engines_offline"] = num(st.engines_offline);
-                vo["slow_factor"] = hex_d(st.slow_factor);
-                vo["drop_prob"] = hex_d(st.drop_prob);
-                vo["capacity_override"] = num(st.capacity_override);
-                vo["rr_cursor"] = num(st.rr_cursor);
-                vo["queues"] = json_array(st.queues, [](const auto& q) {
-                    return json_array(
-                        q, [](const Packet* p) { return hex_u(p->id); });
-                });
-                vo["in_service"] = json_array(
-                    st.in_service, [](const VertexState::InService& e) {
-                        io::JsonObject eo;
-                        eo["serial"] = hex_u(e.serial);
-                        eo["id"] = hex_u(e.pkt->id);
-                        eo["qi"] = num(e.qi);
-                        eo["slot"] = num(e.slot);
-                        return io::Json(std::move(eo));
-                    });
-                vo["area_busy"] = hex_d(st.area_busy);
-                vo["area_occupancy"] = hex_d(st.area_occupancy);
-                vo["last_change"] = hex_d(st.last_change);
-                vo["served"] = hex_u(st.served);
-                vo["dropped"] = hex_u(st.dropped);
-                arr.push_back(io::Json(std::move(vo)));
-            }
-            o["vertices"] = io::Json(std::move(arr));
-        }
-        {
-            io::JsonObject r;
-            r["latency_samples"] =
-                json_array(ledger.latencies.samples(), hex_d);
-            r["latency_sealed"] = io::Json(ledger.latencies.sealed());
-            r["delivered_bytes"] = hex_d(ledger.delivered.total().bytes());
-            r["delivered_requests"] = hex_u(ledger.delivered.requests());
-            r["offered"] = hex_u(ledger.offered_in_window.count());
-            r["drops"] = hex_u(ledger.drops_in_window.count());
-            {
-                io::JsonObject h;
-                h["counts"] = json_array(ledger.latency_hist.counts(), hex_u);
-                h["total"] = hex_u(ledger.latency_hist.total());
-                h["sum"] = hex_d(ledger.latency_hist.sum());
-                r["latency_hist"] = io::Json(std::move(h));
-            }
-            o["recorders"] = io::Json(std::move(r));
-        }
-        return io::Json(std::move(o));
+        io::RecordWriter w;
+        w.field(kConfigKey, config_fingerprint());
+        snapshot_fields(w, *this);
+        return w.take();
     }
 
     void
@@ -1132,198 +1130,28 @@ struct NicSimulator::Impl {
                 "(load into a fresh instance)");
         check_segmentable();
         const std::string want = config_fingerprint().dump(-1);
-        const std::string have = snap.at("config").dump(-1);
+        const std::string have = snap.at(kConfigKey).dump(-1);
         if (want != have)
             throw std::runtime_error(
                 "NicSimulator::load_state: snapshot configuration "
                 "fingerprint mismatch:\n  simulator " + want
                 + "\n  snapshot  " + have);
 
-        // Field readers: hex doubles, hex counters and plain numbers, with
-        // the key named in any parse error.
-        auto d = [](const io::Json& o, const char* key) {
-            return io::double_from_hex(o.at(key).as_string(),
-                                       std::string("snapshot ") + key);
-        };
-        auto u = [](const io::Json& o, const char* key) {
-            return io::parse_u64(o.at(key).as_string(),
-                                 std::string("snapshot ") + key);
-        };
-        auto n = [](const io::Json& o, const char* key) {
-            return o.at(key).as_number();
-        };
-        auto hexu = [](const io::Json& v, const char* ctx) {
-            return io::parse_u64(v.as_string(), ctx);
-        };
-
         ckpt_track = true;
         started = true;
-
-        ledger.rng.restore_state(snap.at("rng").as_string());
-        ledger.generated = u(snap, "generated");
-        ledger.completed_total = u(snap, "completed_total");
-        {
-            const io::JsonArray& dc = snap.at("dropped_cause").as_array();
-            if (dc.size() != 3)
-                throw std::runtime_error(
-                    "NicSimulator::load_state: malformed dropped_cause");
-            for (int i = 0; i < 3; ++i)
-                ledger.dropped_cause[i] = hexu(dc[i], "snapshot dropped_cause");
-        }
-        ledger.in_transit = u(snap, "in_transit");
-        ledger.next_serial = u(snap, "next_serial");
-        ledger.fault_events_applied = u(snap, "fault_events_applied");
-        ledger.killed.clear();
-        for (const io::Json& k : snap.at("killed").as_array())
-            ledger.killed.insert(hexu(k, "snapshot killed serial"));
-        fault_seqs.clear();
-        for (const io::Json& s : snap.at("fault_seqs").as_array())
-            fault_seqs.push_back(hexu(s, "snapshot fault seq"));
+        io::RecordReader r(snap, "snapshot");
+        snapshot_fields(r, *this);
         if (faults_active && fault_seqs.size() != scheduled_faults.size())
             throw std::runtime_error(
                 "NicSimulator::load_state: snapshot fault_seqs count does "
                 "not match the resolved fault schedule");
-        stale_events.clear();
-        for (const io::Json& ev : snap.at("stale").as_array())
-            stale_events.push_back(
-                {d(ev, "when"), u(ev, "seq"), u(ev, "serial")});
-        {
-            const io::Json& a = snap.at("arrival");
-            arrival_pending = a.at("pending").as_bool();
-            arrival_peak = d(a, "peak");
-            arrival_when = d(a, "when");
-            arrival_seq = u(a, "seq");
-        }
 
-        // Packets: acquire slab slots in saved (id) order. Slab slot
-        // assignment is invisible to results (nothing keys on pointer
-        // values), so the restored run does not need the original slots.
-        live_packets.clear();
-        for (const io::Json& pj : snap.at("packets").as_array()) {
-            Packet* p = packet_slab.acquire();
-            p->id = u(pj, "id");
-            p->class_index = static_cast<std::size_t>(n(pj, "class"));
-            if (p->class_index >= traffic.classes().size())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: packet class out of range");
-            p->app_size = Bytes{d(pj, "size")};
-            p->created = d(pj, "created");
-            p->enqueued = d(pj, "enqueued");
-            p->traced = false;
-            p->pending_kind = static_cast<std::uint8_t>(n(pj, "pending_kind"));
-            p->pending_stage =
-                static_cast<std::uint8_t>(n(pj, "pending_stage"));
-            p->pending_edge = static_cast<EdgeId>(n(pj, "pending_edge"));
-            p->pending_vertex = static_cast<VertexId>(n(pj, "pending_vertex"));
-            p->pending_slot = static_cast<std::size_t>(n(pj, "pending_slot"));
-            p->pending_when = d(pj, "pending_when");
-            p->pending_seq = u(pj, "pending_seq");
-            p->service_start = d(pj, "service_start");
-            p->service_time = d(pj, "service_time");
-            p->serial = u(pj, "serial");
-            if (p->pending_kind == 1 && p->pending_edge >= graph.edge_count())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: packet edge out of range");
-            if (p->pending_kind == 2
-                && p->pending_vertex >= graph.vertex_count())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: packet vertex out of range");
-            if (!live_packets.emplace(p->id, p).second)
-                throw std::runtime_error(
-                    "NicSimulator::load_state: duplicate packet id");
-        }
-        auto find_packet = [this, &hexu](const io::Json& id) -> Packet* {
-            const auto it =
-                live_packets.find(hexu(id, "snapshot queued packet id"));
-            if (it == live_packets.end())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: queue references an "
-                    "unknown packet id");
-            return it->second;
-        };
-
-        auto load_link = [&d](LinkServer& l, const io::Json& j) {
-            l.free_at = d(j, "free_at");
-            l.factor = d(j, "factor");
-        };
-        load_link(interface_link, snap.at("interface_link"));
-        load_link(memory_link, snap.at("memory_link"));
-        {
-            const io::JsonArray& arr = snap.at("dedicated_links").as_array();
-            if (arr.size() != dedicated_links.size())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: dedicated link count "
-                    "mismatch");
-            for (std::size_t i = 0; i < arr.size(); ++i)
-                load_link(dedicated_links[i], arr[i]);
-        }
-
-        {
-            const io::JsonArray& arr = snap.at("vertices").as_array();
-            if (arr.size() != vertices.size())
-                throw std::runtime_error(
-                    "NicSimulator::load_state: vertex count mismatch");
-            for (std::size_t v = 0; v < arr.size(); ++v) {
-                VertexState& st = vertices[v];
-                const io::Json& vo = arr[v];
-                st.busy = static_cast<std::uint32_t>(n(vo, "busy"));
-                st.engines_offline =
-                    static_cast<std::uint32_t>(n(vo, "engines_offline"));
-                st.slow_factor = d(vo, "slow_factor");
-                st.drop_prob = d(vo, "drop_prob");
-                st.capacity_override =
-                    static_cast<std::uint32_t>(n(vo, "capacity_override"));
-                st.rr_cursor = static_cast<std::size_t>(n(vo, "rr_cursor"));
-                const io::JsonArray& queues = vo.at("queues").as_array();
-                if (queues.size() != st.queues.size())
-                    throw std::runtime_error(
-                        "NicSimulator::load_state: queue count mismatch");
-                for (std::size_t q = 0; q < queues.size(); ++q) {
-                    st.queues[q].clear();
-                    for (const io::Json& id : queues[q].as_array())
-                        st.queues[q].push_back(find_packet(id));
-                }
-                st.in_service.clear();
-                for (const io::Json& eo : vo.at("in_service").as_array())
-                    st.in_service.push_back(
-                        {u(eo, "serial"), find_packet(eo.at("id")),
-                         static_cast<std::size_t>(n(eo, "qi")),
-                         static_cast<std::size_t>(n(eo, "slot"))});
-                st.area_busy = d(vo, "area_busy");
-                st.area_occupancy = d(vo, "area_occupancy");
-                st.last_change = d(vo, "last_change");
-                st.served = u(vo, "served");
-                st.dropped = u(vo, "dropped");
-            }
-        }
-
-        {
-            const io::Json& r = snap.at("recorders");
-            std::vector<double> samples;
-            for (const io::Json& v : r.at("latency_samples").as_array())
-                samples.push_back(io::double_from_hex(
-                    v.as_string(), "snapshot latency sample"));
-            ledger.latencies.restore(std::move(samples),
-                                     r.at("latency_sealed").as_bool());
-            ledger.delivered.restore(d(r, "delivered_bytes"),
-                                     u(r, "delivered_requests"));
-            ledger.offered_in_window.restore(u(r, "offered"));
-            ledger.drops_in_window.restore(u(r, "drops"));
-            const io::Json& h = r.at("latency_hist");
-            std::vector<std::uint64_t> counts;
-            for (const io::Json& c : h.at("counts").as_array())
-                counts.push_back(hexu(c, "snapshot histogram count"));
-            ledger.latency_hist.restore(std::move(counts), u(h, "total"),
-                                        d(h, "sum"));
-        }
-
-        // Rebuild the calendar: clock first, then one restore_event per
-        // pending event with its original (when, seq). Dispatch order
-        // depends only on (when, seq), so heap layout differences between
-        // the original and restored calendars are unobservable.
+        // Rebuild the calendar (RunLedger::fields restored its clock): one
+        // restore_event per pending event with its original (when, seq).
+        // Dispatch order depends only on (when, seq), so heap layout
+        // differences between the original and restored calendars are
+        // unobservable.
         EventQueue& events = ledger.events;
-        events.restore_clock(d(snap, "now"), u(snap, "next_seq"),
-                             u(snap, "executed"));
         if (arrival_pending) {
             const double peak = arrival_peak;
             events.restore_event(arrival_when, arrival_seq,

@@ -12,12 +12,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "lognic/fault/fault_plan.hpp"
+#include "lognic/io/record.hpp"
 #include "lognic/obs/metrics.hpp"
 #include "lognic/sim/event_queue.hpp"
 #include "lognic/sim/nic_simulator.hpp"
@@ -134,6 +136,73 @@ struct RunLedger {
         1.0,    2.0,    5.0,    10.0,   20.0,    50.0,    100.0,
         200.0,  500.0,  1000.0, 2000.0, 5000.0,  10000.0, 20000.0,
         50000.0};
+
+    /**
+     * The ledger's snapshot fields (a const RunLedger to save), for an
+     * io::RecordWriter or io::RecordReader: the calendar clock, the RNG,
+     * the conservation counters, the fault serials and the recorders.
+     * Loading restores the clock; the engine rebuilds the pending events.
+     */
+    template <typename IO, typename Ledger>
+    static void fields(IO& io, Ledger& l)
+    {
+        double now = l.events.now();
+        std::uint64_t next_seq = l.events.next_seq();
+        std::uint64_t executed = l.events.executed();
+        std::string rng = l.rng.save_state();
+        std::vector<std::uint64_t> killed(l.killed.begin(), l.killed.end());
+        std::sort(killed.begin(), killed.end());
+        io.field("now", now);
+        io.field("next_seq", next_seq);
+        io.field("executed", executed);
+        io.field("rng", rng);
+        io.field("generated", l.generated);
+        io.field("completed_total", l.completed_total);
+        io.field("dropped_cause", l.dropped_cause);
+        io.field("in_transit", l.in_transit);
+        io.field("next_serial", l.next_serial);
+        io.field("fault_events_applied", l.fault_events_applied);
+        io.field("killed", killed);
+        io.record("recorders", l, [](IO& rio, Ledger& r) {
+            // Window measurements, restored wholesale through each
+            // recorder's restore().
+            std::vector<double> samples = r.latencies.samples();
+            bool sealed = r.latencies.sealed();
+            double bytes = r.delivered.total().bytes();
+            std::uint64_t requests = r.delivered.requests();
+            std::uint64_t offered = r.offered_in_window.count();
+            std::uint64_t drops = r.drops_in_window.count();
+            obs::HistogramSnapshot hist{{},
+                                        r.latency_hist.counts(),
+                                        r.latency_hist.total(),
+                                        r.latency_hist.sum()};
+            rio.field("latency_samples", samples);
+            rio.field("latency_sealed", sealed);
+            rio.field("delivered_bytes", bytes);
+            rio.field("delivered_requests", requests);
+            rio.field("offered", offered);
+            rio.field("drops", drops);
+            rio.record("latency_hist", hist, [](auto& hio, auto& h) {
+                hio.field("counts", std::span(h.counts));
+                hio.field("total", h.total);
+                hio.field("sum", h.sum);
+            });
+            if constexpr (IO::kReading) {
+                r.latencies.restore(std::move(samples), sealed);
+                r.delivered.restore(bytes, requests);
+                r.offered_in_window.restore(offered);
+                r.drops_in_window.restore(drops);
+                r.latency_hist.restore(std::move(hist.counts), hist.total,
+                                       hist.sum);
+            }
+        });
+        if constexpr (IO::kReading) {
+            l.events.restore_clock(now, next_seq, executed);
+            l.rng.restore_state(rng);
+            l.killed.clear();
+            l.killed.insert(killed.begin(), killed.end());
+        }
+    }
 
     /// The watchdog as limits for one run_until over the whole run.
     static RunLimits limits(const WatchdogOptions& watchdog);

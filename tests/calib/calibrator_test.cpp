@@ -216,6 +216,38 @@ TEST(CalibReport, RejectsInconsistentDocuments)
     EXPECT_THROW(report_from_json(j), std::runtime_error);
 }
 
+TEST(CalibReport, MalformedCountsAndSeedsAreRefusedByName)
+{
+    CalibrationReport r;
+    r.device = "unit-nic";
+    r.start_outcomes.push_back({});
+    const io::Json good = to_json(r);
+    ASSERT_NO_THROW(report_from_json(good));
+    const std::pair<const char*, io::Json> cases[] = {
+        {"seed", io::Json(-1.0)},
+        {"starts", io::Json(2.5)},
+        {"cache_hits", io::Json(1e300)},
+        {"model_solves", io::Json("many")}};
+    for (const auto& [key, value] : cases) {
+        io::Json bad = good;
+        bad.set(key, value);
+        try {
+            (void)report_from_json(bad);
+            ADD_FAILURE() << key << " = " << value.dump() << " accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + key
+                                                  + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    io::Json start = good.at("start_outcomes").as_array()[0];
+    start.set("iterations", io::Json(-3.0));
+    io::Json bad = good;
+    bad.set("start_outcomes", io::Json(io::JsonArray{start}));
+    EXPECT_THROW(report_from_json(bad), std::runtime_error);
+}
+
 TEST(CalibReport, RenderMentionsTheEssentials)
 {
     CalibrationReport r;

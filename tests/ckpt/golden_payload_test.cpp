@@ -20,9 +20,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 
+#include "../key_deletion.hpp"
 #include "lognic/calib/spec.hpp"
 #include "lognic/check/harness.hpp"
 #include "lognic/ckpt/journal.hpp"
@@ -176,6 +178,47 @@ TEST(GoldenPayload, ExplorationJournalLoadsAndResumes)
         spec.space, spec.objectives, spec.constraints, spec.options);
     EXPECT_EQ(dse::frontier_report_to_json(resumed.report).dump(),
               dse::frontier_report_to_json(plain).dump());
+}
+
+/**
+ * Loading @p payload's journal with any one key removed fails naming that
+ * key. Evaluation's "pruned" is optional by contract (journals written
+ * before pruning lack it) and loads; metric names are map entries, not
+ * fields.
+ */
+template <class Journal>
+void
+expect_every_key_required(const std::string& payload)
+{
+    std::size_t deletions = 0;
+    test::each_key_deletion(
+        io::Json::parse(payload).at("journal"),
+        {"counters", "gauges", "histograms"},
+        [&](const io::Json& doc, const std::string& key) {
+            ++deletions;
+            std::string error;
+            try {
+                Journal journal;
+                journal.load_json(doc);
+            } catch (const std::runtime_error& e) {
+                error = e.what();
+            }
+            if (key == "pruned")
+                EXPECT_EQ(error, "");
+            else
+                EXPECT_TRUE(test::names_missing_key(error, key))
+                    << "without '" << key << "': '" << error << "'";
+        });
+    EXPECT_GT(deletions, 4u);
+}
+
+TEST(GoldenPayload, EveryJournalEntryKeyIsRequired)
+{
+    expect_every_key_required<TaskJournal>(golden("sweep_payload.json"));
+    expect_every_key_required<CheckJournal>(golden("check_payload.json"));
+    expect_every_key_required<FitJournal>(golden("calib_payload.json"));
+    expect_every_key_required<dse::ExploreJournal>(
+        golden("explore_payload.json"));
 }
 
 } // namespace

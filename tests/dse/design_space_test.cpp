@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "lognic/apps/nf_chain.hpp"
 #include "lognic/core/model.hpp"
+#include "lognic/dse/spec.hpp"
 #include "lognic/io/checkpoint.hpp"
 
 using namespace lognic;
@@ -131,6 +134,64 @@ TEST(DesignSpace, LevelAndConfigValidation)
     EXPECT_THROW(space.validate({0, 0}), std::invalid_argument); // size
     EXPECT_THROW(space.validate({2}), std::invalid_argument); // level range
     EXPECT_NO_THROW(space.validate({1}));
+}
+
+TEST(DesignSpace, BandwidthKnobsRefuseNonPositiveLevels)
+{
+    const io::Scenario base = nf_base();
+    std::vector<std::string> paths{"interface_gbps", "memory_gbps",
+                                   "line_rate_gbps", "traffic.rate_gbps"};
+    for (std::size_t i = 0; i < base.hw.ip_count(); ++i) {
+        const core::IpSpec& ip = base.hw.ip(i);
+        paths.push_back("ip." + ip.name + ".byte_rate_gbps");
+        for (const auto& c : ip.roofline.ceilings())
+            paths.push_back("ip." + ip.name + ".ceiling." + c.name + ".gbps");
+    }
+    ASSERT_GT(paths.size(), 5u);
+    for (const std::string& path : paths) {
+        for (const double level : {0.0, -1.0}) {
+            DesignSpace space(base);
+            try {
+                space.add(path, {level, 3.0, 24.0});
+                ADD_FAILURE() << path << " accepted level " << level;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("'" + path + "'"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        DesignSpace space(base);
+        EXPECT_NO_THROW(space.add(path, {0.75, 3.0})) << path;
+    }
+}
+
+TEST(DesignSpace, ZeroInterfaceLevelInTheEvictionSpecIsRefused)
+{
+    // tests/dse/golden/exhaustive_evict_spec.json with a zero level: the
+    // pruner would call the zero-bandwidth configs infeasible while the
+    // model refuses them, so --prune=on and --prune=off would disagree.
+    const io::Json doc = io::Json::parse(R"({"dse": {
+        "base": "nf_chain",
+        "traffic": {"rate_gbps": 50, "packet_bytes": 1500},
+        "knobs": ["placement.nf_chain",
+                  {"path": "line_rate_gbps", "values": [10, 25, 40, 100]},
+                  {"path": "interface_gbps", "values": [0, 3, 24, 96, 384],
+                   "cost_weight": 0.01},
+                  {"path": "traffic.rate_gbps",
+                   "values": [2.5, 5, 10, 20, 40, 80]}],
+        "objectives": ["throughput_gbps", "p99_latency_us", "cost"],
+        "constraints": [{"metric": "throughput_gbps", "lower": 4},
+                        {"metric": "p99_latency_us", "upper": 150}],
+        "strategy": "exhaustive", "prune": "on", "seed": 11,
+        "des": {"enabled": false}}})");
+    try {
+        (void)dse::explore_spec_from_json(doc);
+        ADD_FAILURE() << "a zero interface_gbps level was accepted";
+    } catch (const std::exception& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("interface_gbps"), std::string::npos) << what;
+        EXPECT_NE(what.find("> 0"), std::string::npos) << what;
+    }
 }
 
 TEST(DesignSpace, CanonicalKeyAndFingerprint)

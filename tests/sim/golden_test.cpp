@@ -9,13 +9,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../key_deletion.hpp"
 #include "../test_helpers.hpp"
 #include "lognic/apps/inline_accel.hpp"
 #include "lognic/apps/panic_models.hpp"
@@ -370,6 +373,90 @@ TEST(SimGolden, PinnedSnapshotResumesToThePinnedResult)
     while (!sim.advance(4096)) {
     }
     EXPECT_TRUE(render(sim.finalize()) == read_golden("nic_faults_requeue.json"));
+}
+
+// --- malformed snapshots ------------------------------------------------------
+
+/// Loads @p snapshot into a fresh simulator of the pinned snapshot's run
+/// and returns the error it raised ("" when it loaded).
+std::string
+load_error(const io::Json& snapshot)
+{
+    const NicCase c = nic_faulted(0.006, InServicePolicy::kRequeue);
+    NicSimulator sim(c.hw, c.graph, c.traffic, c.options);
+    try {
+        sim.load_state(snapshot);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// The pinned snapshot with the first value of @p key set to @p value.
+io::Json
+pinned_snapshot_with(const std::string& key, const std::string& value)
+{
+    std::string text = read_golden("nic_snapshot.json");
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = text.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + needle.size();
+    const std::size_t end = text.find_first_of(",}", begin);
+    return io::Json::parse(text.replace(begin, end - begin, value));
+}
+
+TEST(SimGolden, MalformedSnapshotIndicesAreRefusedByName)
+{
+    ASSERT_EQ(load_error(io::Json::parse(read_golden("nic_snapshot.json"))),
+              "");
+    const std::pair<const char*, const char*> cases[] = {
+        {"qi", "99"},        {"rr_cursor", "1e300"}, {"class", "-1"},
+        {"slot", "64"},      {"pending_kind", "7"},  {"pending_edge", "3"},
+        {"busy", "2.5"},     {"pending_vertex", "4"}};
+    for (const auto& [key, value] : cases) {
+        const std::string error = load_error(pinned_snapshot_with(key, value));
+        EXPECT_NE(error.find(std::string(".") + key + " must be"),
+                  std::string::npos)
+            << key << " = " << value << ": '" << error << "'";
+    }
+    // Fixed layouts: an ingress vertex has no queues, a NIC vertex one,
+    // and the latency histogram one count per bucket.
+    const std::pair<const char*, const char*> layouts[][2] = {
+        {{"\"queues\":[]", "\"queues\":[[]]"}, {"vertices[0].queues", "0"}},
+        {{"\"queues\":[[]]", "\"queues\":[[],[]]"},
+         {"vertices[2].queues", "1"}},
+        {{"\"counts\":[", "\"counts\":[\"0x0000000000000000\","},
+         {"latency_hist.counts", "16"}}};
+    for (const auto& [edit, want] : layouts) {
+        std::string text = read_golden("nic_snapshot.json");
+        const std::size_t at = text.find(edit.first);
+        ASSERT_NE(at, std::string::npos) << edit.first;
+        text.replace(at, std::strlen(edit.first), edit.second);
+        const std::string error = load_error(io::Json::parse(text));
+        EXPECT_NE(error.find(std::string(want.first) + " must hold "
+                             + want.second + " elements"),
+                  std::string::npos)
+            << edit.second << ": '" << error << "'";
+    }
+}
+
+TEST(SimGolden, EveryPinnedSnapshotKeyIsRequired)
+{
+    std::size_t deletions = 0;
+    test::each_key_deletion(
+        io::Json::parse(read_golden("nic_snapshot.json")), {},
+        [&](const io::Json& snapshot, const std::string& key) {
+            ++deletions;
+            const std::string error = load_error(snapshot);
+            // A key of the configuration fingerprint fails the
+            // fingerprint check, whose message shows both documents.
+            const bool named = test::names_missing_key(error, key)
+                || (error.find("fingerprint mismatch") != std::string::npos
+                    && error.find('"' + key + '"') != std::string::npos);
+            EXPECT_TRUE(named) << "without '" << key << "': '" << error
+                               << "'";
+        });
+    EXPECT_GT(deletions, 80u);
 }
 
 TEST(SimGolden, UnknownTargetBeyondTheHorizonStillThrows)
